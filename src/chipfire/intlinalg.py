@@ -3,8 +3,12 @@
 Everything in this module runs on plain Python ints, so there is no
 coefficient-size limit and no floating point anywhere.  The three workhorses
 are Smith normal form with unimodular witness matrices, the Bareiss
-fraction-free determinant, and an exact characteristic polynomial obtained by
-evaluation and interpolation.
+fraction-free determinant, and an exact characteristic polynomial computed by
+Hessenberg reduction modulo primes just below 2**62 and combined by the
+Chinese remainder theorem.  Enough primes are used for their product to
+exceed twice the bound prod_i (1 + ceil(|row_i|_2)) on every coefficient,
+which holds because the coefficient of x^(m-j) is a signed sum of j x j
+principal minors and Hadamard's inequality bounds each of them.
 """
 
 from __future__ import annotations
@@ -353,60 +357,135 @@ def determinant(a: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
+# Primes just below 2**62, generated on first use and kept for later calls.
+_CRT_PRIMES: list = []
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first 12 primes as bases.
+
+    These bases make the test deterministic for every n < 3.3 * 10**24.
+    """
+    if n < 2:
+        return False
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for q in _MILLER_RABIN_BASES:
+        x = pow(q, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _crt_prime(index: int) -> int:
+    """The index-th largest prime below 2**62."""
+    while len(_CRT_PRIMES) <= index:
+        candidate = (_CRT_PRIMES[-1] if _CRT_PRIMES else 1 << 62) - 1
+        while not _is_prime(candidate):
+            candidate -= 1
+        _CRT_PRIMES.append(candidate)
+    return _CRT_PRIMES[index]
+
+
+def _char_poly_mod(rows: list, p: int) -> list:
+    """Ascending coefficients of det(xI - a) mod p, a given as its rows."""
+    m = len(rows)
+    h = [[x % p for x in row] for row in rows]
+    # reduce to upper Hessenberg form by similarity transforms
+    for j in range(m - 2):
+        pivot = next((i for i in range(j + 1, m) if h[i][j]), None)
+        if pivot is None:
+            continue
+        k = j + 1
+        if pivot != k:
+            h[pivot], h[k] = h[k], h[pivot]
+            for row in h:
+                row[pivot], row[k] = row[k], row[pivot]
+        inv = pow(h[k][j], -1, p)
+        tail = h[k][j:]
+        multipliers = []
+        for i in range(k + 1, m):
+            u = h[i][j] * inv % p
+            if u:
+                h[i][j:] = [(x - u * y) % p for x, y in zip(h[i][j:], tail)]
+                multipliers.append((i, u))
+        if multipliers:
+            # the inverse column operations, all folded into column k
+            for row in h:
+                row[k] = (row[k] + sum(u * row[i] for i, u in multipliers)) % p
+
+    # polys[k] = det(xI - H_k) for the leading k x k block of H
+    polys = [[1]]
+    for k in range(m):
+        prev = polys[k]
+        diag = h[k][k]
+        current = [0] + prev  # x * prev, reduced mod p once at the end
+        for i, c in enumerate(prev):
+            current[i] -= diag * c
+        product = 1  # h[k][k-1] * ... * h[i+1][i]
+        for i in range(k - 1, -1, -1):
+            product = product * h[i + 1][i] % p
+            if not product:
+                break
+            factor = h[i][k] * product % p
+            if factor:
+                for d, c in enumerate(polys[i]):
+                    current[d] -= factor * c
+        polys.append([c % p for c in current])
+    return polys[m]
+
+
 def char_poly(a: IntMatrix) -> IntPoly:
     """Monic characteristic polynomial det(xI - a) with integer coefficients.
 
-    Computed by evaluating det(tI - a) at t = 0..m with Bareiss and then
-    interpolating through Newton forward differences.  The difference-table
-    coefficients expand the polynomial in the binomial basis, and clearing the
-    m! denominator keeps everything in integers; the final division is exact
-    because the target polynomial has integer coefficients.
+    Computed modulo primes just below 2**62 and combined by the Chinese
+    remainder theorem.  For each prime p, a mod p is reduced to upper
+    Hessenberg form H by similarity, and det(xI - H) follows from the
+    O(m^3) Hessenberg recurrence.  Reduction mod p commutes with taking the
+    characteristic polynomial, so every prime is usable.
+
+    Primes are added until their product exceeds 2B with
+    B = prod_i (1 + ceil(|row_i|_2)).  B bounds every coefficient: the
+    coefficient of x^(m-j) is +-(sum of the j x j principal minors), each
+    minor is at most the product of its rows' norms by Hadamard's
+    inequality, so it is at most e_j(row norms) <= B.  The symmetric
+    residues modulo the product are therefore the exact coefficients.
     """
     if not a.is_square:
         raise InputError(f"char_poly needs a square matrix, got {a.rows}x{a.cols}")
-    m = a.rows
-    if m == 0:
-        return IntPoly([1])
+    rows = a.to_rows()
+    bound = 1
+    for row in rows:
+        squares = sum(x * x for x in row)
+        norm_ceiling = math.isqrt(squares - 1) + 1 if squares else 0
+        bound *= 1 + norm_ceiling
 
-    values = []
-    for t in range(m + 1):
-        shifted = IntMatrix(
-            m,
-            m,
-            [
-                (t if i == j else 0) - a.entry(i, j)
-                for i in range(m)
-                for j in range(m)
-            ],
-        )
-        values.append(determinant(shifted))
-
-    # forward differences: diffs[k] == Delta^k f(0)
-    diffs = []
-    level = values
-    for _ in range(m + 1):
-        diffs.append(level[0])
-        level = [level[i + 1] - level[i] for i in range(len(level) - 1)]
-
-    m_fact = math.factorial(m)
-    scaled = [0] * (m + 1)  # coefficients of m! * det(xI - a)
-    falling = [1]  # x(x-1)...(x-k+1), ascending coefficients
-    for k in range(m + 1):
-        weight = diffs[k] * (m_fact // math.factorial(k))
-        for i, c in enumerate(falling):
-            scaled[i] += weight * c
-        # falling *= (x - k)
-        falling = [0] + falling
-        for i in range(len(falling) - 1):
-            falling[i] -= k * falling[i + 1]
-
-    coeffs = []
-    for c in scaled:
-        q, r = divmod(c, m_fact)
-        if r != 0:
-            raise AssertionError("interpolation produced a non-integer coefficient")
-        coeffs.append(q)
-    return IntPoly(coeffs)
+    coeffs = [0] * (a.rows + 1)  # residues modulo the product of primes so far
+    modulus = 1
+    index = 0
+    while modulus <= 2 * bound:
+        p = _crt_prime(index)
+        residues = _char_poly_mod(rows, p)
+        inv = pow(modulus, -1, p)
+        coeffs = [
+            c + modulus * ((r - c) * inv % p) for c, r in zip(coeffs, residues)
+        ]
+        modulus *= p
+        index += 1
+    half = modulus // 2
+    return IntPoly([c - modulus if c > half else c for c in coeffs])
 
 
 def poly_eval(p: IntPoly, x: int) -> int:

@@ -271,15 +271,26 @@ def random_tree(rng: random.Random, vertex_count: int) -> Graph:
     return tree_from_pruefer(sequence, vertex_count)
 
 
+_CONNECTED_DRAW_LIMIT = 1000
+
+
 def random_connected_graph(
     rng: random.Random, vertex_count: int, edge_probability: float = 0.5
 ) -> Graph:
-    """Erdos-Renyi sample, retried until connected."""
+    """Erdos-Renyi sample, retried until connected.
+
+    Gives up with ``InputError`` after a fixed number of disconnected draws,
+    so an edge probability too small for the vertex count cannot hang.
+    """
     if vertex_count < 1:
         raise InputError("graph needs at least one vertex")
     if not 0.0 <= edge_probability <= 1.0:
         raise InputError("edge probability must lie in [0, 1]")
-    while True:
+    if edge_probability == 0.0 and vertex_count > 1:
+        raise InputError(
+            f"edge probability 0 never connects {vertex_count} vertices"
+        )
+    for _ in range(_CONNECTED_DRAW_LIMIT):
         edges = [
             (u, v)
             for u in range(vertex_count)
@@ -289,3 +300,7 @@ def random_connected_graph(
         g = Graph(vertex_count, edges)
         if is_connected(g):
             return g
+    raise InputError(
+        f"no connected graph on {vertex_count} vertices with edge probability "
+        f"{edge_probability} in {_CONNECTED_DRAW_LIMIT} draws"
+    )

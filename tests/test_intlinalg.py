@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from chipfire import (
+    Graph,
     InputError,
     IntMatrix,
     IntPoly,
     char_poly,
     determinant,
+    intlinalg,
+    laplacian,
     poly_divide_by_x,
     poly_eval,
     smith_normal_form,
@@ -207,6 +211,113 @@ class TestCharPoly:
             [(t if i == j else 0) - a.entry(i, j) for i in range(m) for j in range(m)],
         )
         assert poly_eval(char_poly(a), t) == determinant(shifted)
+
+
+def poly_mul(p, q):
+    out = [0] * (len(p.coefficients) + len(q.coefficients) - 1)
+    for i, a in enumerate(p.coefficients):
+        for j, b in enumerate(q.coefficients):
+            out[i + j] += a * b
+    return IntPoly(out)
+
+
+@st.composite
+def square_matrices(draw, min_size=0, entry_bits=(4, 32, 64, 128)):
+    """Non-symmetric square matrices up to 9x9, dense or about 1 in 4 nonzero."""
+    m = draw(st.integers(min_value=min_size, max_value=9))
+    bound = 2 ** draw(st.sampled_from(entry_bits))
+    entry = st.integers(min_value=-bound, max_value=bound)
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(0), st.just(0), st.just(0), entry)
+    return IntMatrix(m, m, draw(st.lists(entry, min_size=m * m, max_size=m * m)))
+
+
+@st.composite
+def connected_graphs(draw, max_vertices=30):
+    """A random spanning tree plus random extra edges."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    edges = {(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)}
+    if n > 1:
+        vertex = st.integers(min_value=0, max_value=n - 1)
+        extra = draw(st.lists(st.tuples(vertex, vertex), max_size=n * (n - 1) // 4))
+        edges.update((u, v) for u, v in extra if u != v)
+    return Graph(n, edges)
+
+
+class TestCharPolyAgainstInterpolation:
+    """The modular char_poly against the evaluation/interpolation oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(square_matrices())
+    def test_random_square_matrices(self, a):
+        assert char_poly(a) == oracles.char_poly(a)
+
+    @settings(max_examples=25, deadline=None)
+    @given(square_matrices(min_size=6, entry_bits=(128,)))
+    def test_full_width_entries_need_many_primes(self, a):
+        assert char_poly(a) == oracles.char_poly(a)
+
+    @settings(max_examples=30, deadline=None)
+    @given(connected_graphs())
+    def test_laplacians_of_connected_graphs(self, g):
+        lap = laplacian(g)
+        assert char_poly(lap) == oracles.char_poly(lap)
+
+
+class TestCharPolyModularEdgeCases:
+    def test_prime_supply(self):
+        gaps = [2**62 - intlinalg._crt_prime(i) for i in range(10)]
+        assert gaps == [57, 87, 117, 143, 153, 167, 171, 195, 203, 273]
+
+    def test_miller_rabin_against_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        assert [n for n in range(3000) if intlinalg._is_prime(n)] == [
+            n for n in range(3000) if trial(n)
+        ]
+        # strong pseudoprimes to bases 2, 3, 5, 7 (and a Carmichael number)
+        for n in (561, 3215031751, 2152302898747, 3474749660383):
+            assert not intlinalg._is_prime(n)
+
+    def test_entries_vanish_mod_the_first_prime(self):
+        p = intlinalg._crt_prime(0)
+        a = IntMatrix.from_rows([[p, p, 0], [p, -p, p], [0, p, p]])
+        assert char_poly(a) == oracles.char_poly(a)
+        assert char_poly(a) == IntPoly([3 * p**3, -3 * p**2, -p, 1])
+
+    def test_reversal_permutation_needs_pivot_swaps(self):
+        for m in range(1, 8):
+            a = IntMatrix(m, m, [1 if i + j == m - 1 else 0 for i in range(m) for j in range(m)])
+            expected = IntPoly([1])
+            for sign in [-1] * ((m + 1) // 2) + [1] * (m // 2):
+                expected = poly_mul(expected, IntPoly([sign, 1]))
+            assert char_poly(a) == expected == oracles.char_poly(a)
+
+    def test_block_diagonal_has_zero_subdiagonal(self):
+        top = IntMatrix.from_rows([[2, 7, -1], [3, 0, 5], [1, -4, 6]])
+        bottom = IntMatrix.from_rows([[0, 1], [-9, 4]])
+        rows = [list(r) + [0, 0] for r in top] + [[0, 0, 0] + list(r) for r in bottom]
+        a = IntMatrix.from_rows(rows)
+        assert char_poly(a) == poly_mul(char_poly(top), char_poly(bottom))
+        assert char_poly(a) == oracles.char_poly(a)
+
+    def test_strictly_upper_triangular_is_nilpotent(self):
+        rng = random.Random(11)
+        m = 7
+        a = IntMatrix(m, m, [rng.randint(-50, 50) if j > i else 0 for i in range(m) for j in range(m)])
+        assert char_poly(a) == IntPoly([0] * m + [1])
+
+    def test_one_by_one_needs_several_primes(self):
+        assert char_poly(IntMatrix.from_rows([[-(2**300)]])) == IntPoly([2**300, 1])
+
+    def test_bound_beyond_the_primes_generated_so_far(self):
+        # a 1x1 entry of this size needs two primes more than exist yet
+        known = len(intlinalg._CRT_PRIMES)
+        big = 2 ** (62 * (known + 1)) + 12345
+        a = IntMatrix.from_rows([[big, 1], [-1, -big]])
+        assert char_poly(a) == IntPoly([1 - big * big, 0, 1])
+        assert len(intlinalg._CRT_PRIMES) > known
 
 
 class TestPolyOps:

@@ -236,6 +236,15 @@ class TestRandomGenerators:
         for _ in range(30):
             assert is_connected(random_connected_graph(rng, rng.randint(1, 8)))
 
+    def test_random_connected_graph_rejects_zero_probability(self):
+        with pytest.raises(InputError, match="probability 0"):
+            random_connected_graph(random.Random(1), 3, 0.0)
+        assert random_connected_graph(random.Random(1), 1, 0.0) == Graph(1)
+
+    def test_random_connected_graph_gives_up_after_capped_draws(self):
+        with pytest.raises(InputError, match=r"2 vertices with edge probability 1e-12"):
+            random_connected_graph(random.Random(1), 2, 1e-12)
+
     def test_determinism(self):
         assert random_tree(random.Random(5), 8) == random_tree(random.Random(5), 8)
         assert random_connected_graph(random.Random(5), 6) == random_connected_graph(

@@ -118,12 +118,13 @@ def _apply_cone(g: Graph, cone_size: Optional[int]) -> Graph:
     return g if cone_size is None else cone(g, cone_size)
 
 
-def _count(n: int, noun: str) -> str:
-    return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
+def _count(n: int, noun: str, plural: str) -> str:
+    return f"{n} {noun if n == 1 else plural}"
 
 
 def _summarize(g: Graph) -> str:
-    return f"{_count(g.vertex_count, 'vertex')}, {_count(g.edge_count, 'edge')}"
+    vertices = _count(g.vertex_count, "vertex", "vertices")
+    return f"{vertices}, {_count(g.edge_count, 'edge', 'edges')}"
 
 
 def _load(path: str, cone_size: Optional[int]) -> tuple:
@@ -212,6 +213,8 @@ def _run_verify(args) -> tuple:
         raise InputError("give input files or --sample, not both")
     if args.sample is None and not args.files:
         raise InputError("verify needs input files or --sample COUNT")
+    if args.sample is not None and args.sample < 1:
+        raise InputError(f"--sample COUNT must be at least 1, got {args.sample}")
 
     if args.which == "join":
         if args.sample is not None:

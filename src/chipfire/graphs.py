@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Tuple
 
-from .errors import InputError
+from .errors import InputError, SizeError
 
 __all__ = [
     "Graph",
@@ -101,9 +101,19 @@ def from_edge_list(n: int, pairs: Iterable[Edge]) -> Graph:
     return Graph(n, pairs)
 
 
+# K_m has m(m-1)/2 edges, all built eagerly: K_2048 already holds 2.1M edges
+# (about 0.45 GB of Python objects), and a mistyped cone size such as 10**20
+# would exhaust memory instead of failing
+MAX_COMPLETE_VERTICES = 2048
+
+
 def complete(m: int) -> Graph:
     if m < 1:
         raise InputError("complete graph needs at least one vertex")
+    if m > MAX_COMPLETE_VERTICES:
+        raise SizeError(
+            f"complete graph on {m} vertices exceeds the limit of {MAX_COMPLETE_VERTICES}"
+        )
     return Graph(m, [(i, j) for i in range(m) for j in range(i + 1, m)])
 
 

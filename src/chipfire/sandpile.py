@@ -1,10 +1,14 @@
 """Chip-firing groups and divisor arithmetic.
 
 The chip-firing (critical) group of a connected graph is the cokernel of the
-reduced Laplacian; its invariant factors come straight out of Smith normal
-form.  Divisor-class questions (is this divisor principal, what is the order
-of its class, what group do some classes generate) are answered through the
-SNF witness matrices, so after one SNF per graph each query is cheap.
+reduced Laplacian.  One Smith normal form U Lred V = S per graph, cached,
+presents it as Z/d_1 x ... x Z/d_s: the d_i are the nontrivial invariant
+factors, and the class of a degree-zero divisor has coordinates
+(U_i . x) mod d_i, where x is the divisor with the removed vertex dropped and
+U_i is the row of U matching d_i.  Every divisor-class question (is this
+divisor principal, what is the order of its class, what group do some classes
+generate or leave over) is then answered in those coordinates, with at most
+two SNFs of size about s rather than of the graph's size.
 
 Divisors are plain integer vectors indexed by vertex; the degree-zero
 constraint is a checked precondition rather than a separate type.
@@ -15,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InputError, NotConnectedError
@@ -22,7 +27,6 @@ from .graphs import Graph, is_connected
 from .intlinalg import (
     IntMatrix,
     IntPoly,
-    SnfResult,
     char_poly,
     determinant,
     poly_divide_by_x,
@@ -138,14 +142,35 @@ def reduced_laplacian(g: Graph, remove: int) -> IntMatrix:
     return IntMatrix.from_rows([[lap.entry(i, j) for j in keep] for i in keep])
 
 
-@lru_cache(maxsize=256)
-def _reduced_snf(g: Graph, remove: int) -> SnfResult:
-    return smith_normal_form(reduced_laplacian(g, remove))
+@dataclass(frozen=True)
+class _Presentation:
+    """Pic0 as Z/d_1 x ... x Z/d_s, from the SNF U Lred V = S.
+
+    ``factors`` are the invariant factors d_i >= 2 of the reduced Laplacian
+    with ``remove`` deleted, and ``rows[i]`` is the matching row of U reduced
+    mod d_i.
+    """
+
+    remove: int
+    factors: tuple
+    rows: tuple
+
+    def coordinates(self, d: Sequence[int]) -> list:
+        """Coordinates (U_i . x) mod d_i of the class of a degree-zero divisor."""
+        x = [c for v, c in enumerate(d) if v != self.remove]
+        return [sum(map(mul, row, x)) % m for row, m in zip(self.rows, self.factors)]
 
 
 @lru_cache(maxsize=256)
-def _full_laplacian_snf(g: Graph) -> SnfResult:
-    return smith_normal_form(laplacian(g))
+def _reduced_snf(g: Graph, remove: int) -> _Presentation:
+    snf = smith_normal_form(reduced_laplacian(g, remove))
+    # Lred is nonsingular for a connected graph: no zero on the diagonal
+    keep = [i for i, d in enumerate(snf.diagonal) if d > 1]
+    return _Presentation(
+        remove,
+        tuple(snf.diagonal[i] for i in keep),
+        tuple(tuple(u % snf.diagonal[i] for u in snf.u.row(i)) for i in keep),
+    )
 
 
 def critical_group(g: Graph, remove: int = 0) -> CriticalGroup:
@@ -154,7 +179,7 @@ def critical_group(g: Graph, remove: int = 0) -> CriticalGroup:
     The result does not depend on which vertex is removed; the parameter
     exists for cross-checking.
     """
-    return CriticalGroup.from_diagonal(_reduced_snf(g, remove).diagonal)
+    return CriticalGroup(_reduced_snf(g, remove).factors)
 
 
 def spanning_tree_count(g: Graph, remove: int = 0) -> int:
@@ -213,102 +238,64 @@ def fire_vertex(g: Graph, d: Sequence[int], v: int, direction: str) -> tuple:
     return tuple(coeffs)
 
 
-def _snf_coordinates(g: Graph, d: Sequence[int]) -> list:
-    """Pairs (s_i, c_i) with c = U d for the full-Laplacian SNF U L V = S."""
-    _require_connected(g)
-    snf = _full_laplacian_snf(g)
-    c = snf.u.mul_vector(d)
-    return list(zip(snf.diagonal, c))
-
-
 def is_principal(g: Graph, d: Sequence[int]) -> bool:
     """Whether d lies in the image of the Laplacian, i.e. is reachable from
     the zero divisor by chip-firing moves."""
     coeffs = _check_degree_zero(g, d)
-    for s_i, c_i in _snf_coordinates(g, coeffs):
-        if s_i == 0:
-            if c_i != 0:
-                return False
-        elif c_i % s_i != 0:
-            return False
-    return True
+    return not any(_reduced_snf(g, 0).coordinates(coeffs))
 
 
 def class_order(g: Graph, d: Sequence[int]) -> int:
     """Order of the class of d in Pic0(g): the least m with m*d principal."""
     coeffs = _check_degree_zero(g, d)
-    order = 1
-    for s_i, c_i in _snf_coordinates(g, coeffs):
-        if s_i == 0:
-            # the zero row of S corresponds to the all-ones left kernel, and
-            # c_i is +-degree(d) = 0 after the precondition check
-            if c_i != 0:
-                raise InputError("divisor class has infinite order")
-            continue
-        order = math.lcm(order, s_i // math.gcd(s_i, c_i))
-    return order
+    pic0 = _reduced_snf(g, 0)
+    return math.lcm(
+        *(m // math.gcd(m, c) for m, c in zip(pic0.factors, pic0.coordinates(coeffs)))
+    )
 
 
-def _reduced_coordinates(d: Sequence[int], remove: int) -> list:
-    return [c for v, c in enumerate(d) if v != remove]
+def _generated_snf(g: Graph, generators: Iterable[Sequence[int]]) -> tuple:
+    """Generator count r and the SNF of the s x (r+s) matrix [C | diag(d)].
 
-
-def _checked_generators(g: Graph, generators: Iterable[Sequence[int]]) -> list:
-    return [_check_degree_zero(g, d) for d in generators]
+    Column j of C holds the class coordinates of generator j.  The cokernel
+    of [C | diag(d)] is Pic0 modulo the generated subgroup, and the first r
+    coordinates of its kernel are the relations among the generators.
+    """
+    gens = [_check_degree_zero(g, d) for d in generators]
+    pic0 = _reduced_snf(g, 0)
+    columns = [pic0.coordinates(d) for d in gens]
+    s, r = len(pic0.factors), len(gens)
+    entries = [
+        x
+        for i, d_i in enumerate(pic0.factors)
+        for x in [col[i] for col in columns] + [d_i if j == i else 0 for j in range(s)]
+    ]
+    return r, smith_normal_form(IntMatrix(s, r + s, entries))
 
 
 def quotient_by_classes(g: Graph, generators: Iterable[Sequence[int]]) -> CriticalGroup:
     """Pic0(g) modulo the subgroup generated by the given divisor classes.
 
-    Presented as the cokernel of the reduced Laplacian augmented with the
-    generators' reduced coordinate columns.
+    Z/d_1 x ... x Z/d_s modulo the generators' coordinate columns C is the
+    cokernel of [C | diag(d)].
     """
-    gens = _checked_generators(g, generators)
-    _require_connected(g)
-    remove = 0
-    reduced = reduced_laplacian(g, remove)
-    columns = [_reduced_coordinates(d, remove) for d in gens]
-    rows = [
-        list(reduced.row(i)) + [col[i] for col in columns] for i in range(reduced.rows)
-    ]
-    if not rows:  # single-vertex graph: Pic0 is trivial
-        return CriticalGroup.trivial()
-    snf = smith_normal_form(IntMatrix.from_rows(rows))
+    _, snf = _generated_snf(g, generators)
     return CriticalGroup.from_diagonal(snf.diagonal)
 
 
 def subgroup_invariants(g: Graph, generators: Iterable[Sequence[int]]) -> CriticalGroup:
     """Structure of the subgroup of Pic0(g) generated by the given classes.
 
-    The subgroup is Z^r modulo the relation lattice of the generators; the
-    lattice is the projection onto the first r coordinates of the kernel of
-    [G | Lred], read off the SNF column witness.
+    The subgroup is Z^r modulo the relation lattice {a : C a in diag(d) Z^s}
+    of the generators.  That lattice is the projection onto the first r
+    coordinates of the kernel of [C | diag(d)], which is spanned by the
+    columns s.. of the SNF column witness V.  It has full rank, because it
+    contains d_s times every unit vector.
     """
-    gens = _checked_generators(g, generators)
-    _require_connected(g)
-    r = len(gens)
-    if r == 0:
-        return CriticalGroup.trivial()
-    remove = 0
-    reduced = reduced_laplacian(g, remove)
-    columns = [_reduced_coordinates(d, remove) for d in gens]
-    k = reduced.rows
-    if k == 0:  # single-vertex graph: every class is trivial
-        return CriticalGroup.trivial()
-    rows = [
-        [col[i] for col in columns] + list(reduced.row(i)) for i in range(k)
-    ]
-    snf = smith_normal_form(IntMatrix.from_rows(rows))
-    rank = sum(1 for d in snf.diagonal if d != 0)
-    total_cols = r + k
-    # kernel basis of [G | Lred]: columns of V past the rank
-    relation_rows = [
-        [snf.v.entry(i, j) for j in range(rank, total_cols)] for i in range(r)
-    ]
-    relations = smith_normal_form(IntMatrix.from_rows(relation_rows))
-    if any(d == 0 for d in relations.diagonal) or len(relations.diagonal) < r:
-        raise AssertionError("relation lattice of finite classes must have full rank")
-    return CriticalGroup.from_diagonal(relations.diagonal)
+    r, snf = _generated_snf(g, generators)
+    s = snf.u.rows
+    relations = [snf.v.entry(i, j) for i in range(r) for j in range(s, s + r)]
+    return CriticalGroup.from_diagonal(smith_normal_form(IntMatrix(r, r, relations)).diagonal)
 
 
 def groups_isomorphic(a: CriticalGroup, b: CriticalGroup) -> bool:

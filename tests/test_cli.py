@@ -221,3 +221,42 @@ class TestOutputFormats:
         assert len(lines) == 2
         for line in lines:
             json.loads(line)
+
+
+class TestRegressions:
+    def test_group_summary_pluralizes_vertices(self, graph_file):
+        for g, expected in (
+            (complete(4), "4 vertices, 6 edges"),
+            (path(2), "2 vertices, 1 edge"),
+            (from_edge_list(1, []), "1 vertex, 0 edges"),
+        ):
+            name = graph_file("g.txt", g)
+            code, records = run_json(["group", name])
+            assert code == 0
+            assert records[0]["input_summary"] == f"{name}: {expected}"
+
+    def test_sample_summary_pluralizes_vertices(self):
+        code, records = run_json(["verify", "cone", "--sample", "5", "--seed", "3"])
+        assert code == 0
+        for r in records:
+            assert "vertexs" not in r["input_summary"]
+            assert r["input_summary"].split(": ")[1].split(",")[0].endswith(" vertices")
+
+    def test_sample_count_below_one_rejected(self):
+        for which in ("cone", "tree", "join", "eigen"):
+            for count in ("0", "-3"):
+                code, text = run(["verify", which, "--sample", count])
+                assert code == 2
+                assert text == ""
+
+    def test_huge_cone_size_is_a_size_error(self, graph_file):
+        p2 = graph_file("p2.txt", path(2))
+        huge = str(10**20)
+        for argv in (
+            ["verify", "cone", p2, "-n", huge],
+            ["verify", "tree", p2, "-n", huge],
+            ["verify", "eigen", p2, "-n", huge],
+            ["cone", p2, huge],
+            ["group", p2, "--cone", huge],
+        ):
+            assert run(argv) == (3, "")

@@ -1,5 +1,7 @@
 """Tests for graph construction, queries, and the edge-list format."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from chipfire import (
     Graph,
     InputError,
+    SizeError,
     complete,
     cone,
     cycle,
@@ -20,6 +23,7 @@ from chipfire import (
     parse_edge_list,
     path,
 )
+from chipfire.graphs import MAX_COMPLETE_VERTICES
 
 GOEL_EDGES = [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)]
 FORK_TREE_EDGES = [(0, 1), (1, 2), (2, 3), (2, 4)]
@@ -58,6 +62,21 @@ class TestConstruction:
         assert complete(4).edge_count == 6
         with pytest.raises(InputError):
             complete(0)
+
+    def test_huge_complete_graph_rejected_before_allocating(self):
+        tracemalloc.start()
+        try:
+            for build in (
+                lambda: complete(10**20),
+                lambda: cone(path(2), 10**20),
+                lambda: complete(MAX_COMPLETE_VERTICES + 1),
+            ):
+                with pytest.raises(SizeError):
+                    build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_path_and_cycle(self):
         assert path(5).edge_count == 4

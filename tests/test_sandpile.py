@@ -9,7 +9,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from chipfire import (
     CriticalGroup,
     Graph,
@@ -36,7 +39,9 @@ from chipfire import (
     poly_eval,
     quotient_by_classes,
     random_connected_graph,
+    random_tree,
     reduced_laplacian,
+    smith_normal_form,
     spanning_tree_count,
     subgroup_invariants,
 )
@@ -461,3 +466,92 @@ class TestGroupCombinators:
             a = CriticalGroup.from_cyclic_orders([rng.randint(1, 30) for _ in range(3)])
             b = CriticalGroup.from_cyclic_orders([rng.randint(1, 30) for _ in range(2)])
             assert direct_sum(a, b).order == a.order * b.order
+
+
+@st.composite
+def connected_graphs(draw, max_vertices=14):
+    """Erdos-Renyi graphs drawn by random_connected_graph from a drawn seed."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    p = draw(st.sampled_from((0.3, 0.5, 0.8)))
+    return random_connected_graph(random.Random(draw(st.integers(0, 2**32))), n, p)
+
+
+@st.composite
+def degree_zero_divisors(draw, g, max_count):
+    count = draw(st.integers(min_value=0, max_value=max_count))
+    divisors = []
+    for _ in range(count):
+        size = g.vertex_count - 1
+        coeffs = draw(st.lists(st.integers(-6, 6), min_size=size, max_size=size))
+        divisors.append(tuple(coeffs) + (-sum(coeffs),))
+    return divisors
+
+
+def assert_matches_oracles(g, divisors, generators):
+    for d in divisors:
+        assert is_principal(g, d) == oracles.is_principal(g, d)
+        assert class_order(g, d) == oracles.class_order(g, d)
+    assert quotient_by_classes(g, generators) == oracles.quotient_by_classes(g, generators)
+    assert subgroup_invariants(g, generators) == oracles.subgroup_invariants(g, generators)
+
+
+class TestPresentationAgainstWitnessOracles:
+    """Queries answered from the cached presentation of Pic0 against the
+    earlier full-Laplacian and augmented-matrix SNF routes."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_random_connected_graphs(self, data):
+        g = data.draw(connected_graphs())
+        divisors = data.draw(degree_zero_divisors(g, 4))
+        # principal divisors too, which random ones almost never are
+        firing = data.draw(st.lists(st.integers(-3, 3), min_size=g.vertex_count, max_size=g.vertex_count))
+        principal = laplacian(g).mul_vector(firing)
+        assert is_principal(g, principal)
+        generators = data.draw(degree_zero_divisors(g, 3))
+        assert_matches_oracles(g, divisors + [principal], generators)
+
+    def test_non_split_goel_cone(self):
+        g = cone(GOEL, 3)
+        assert critical_group(g).invariant_factors == (144, 8208)
+        gens = [vertex_difference(g, 7, 6), vertex_difference(g, 8, 6)]
+        differences = [vertex_difference(g, a, b) for a, b in itertools.combinations(range(9), 2)]
+        for count in range(4):
+            assert_matches_oracles(g, differences, (gens + differences)[:count])
+        assert subgroup_invariants(g, gens).invariant_factors == (9, 9)
+
+    def test_single_vertex(self):
+        g = Graph(1)
+        assert critical_group(g).is_trivial
+        for count in range(4):
+            assert_matches_oracles(g, [(0,)], [(0,)] * count)
+        assert class_order(g, (0,)) == 1
+
+    def test_trees_have_trivial_presentation(self):
+        rng = random.Random(5)
+        for _ in range(10):
+            g = random_tree(rng, rng.randint(2, 9))
+            assert critical_group(g).is_trivial
+            differences = [vertex_difference(g, 0, v) for v in range(1, g.vertex_count)]
+            assert all(is_principal(g, d) for d in differences)
+            for count in range(4):
+                assert_matches_oracles(g, differences, differences[:count])
+                assert quotient_by_classes(g, differences[:count]).is_trivial
+
+    def test_complete_graphs_have_the_largest_presentation(self):
+        for n in range(2, 9):
+            g = complete(n)
+            assert critical_group(g).invariant_factors == (n,) * (n - 2)
+            differences = [vertex_difference(g, 0, v) for v in range(1, n)]
+            assert all(class_order(g, d) == (n if n > 2 else 1) for d in differences)
+            for count in range(4):
+                assert_matches_oracles(g, differences, differences[:count])
+
+    def test_critical_group_for_every_removed_vertex(self):
+        rng = random.Random(17)
+        for g in [GOEL, cone(GOEL, 3), complete(6), Graph(1)] + [
+            random_connected_graph(rng, rng.randint(2, 10), 0.4) for _ in range(10)
+        ]:
+            for remove in range(g.vertex_count):
+                direct = smith_normal_form(reduced_laplacian(g, remove)).diagonal
+                assert critical_group(g, remove) == CriticalGroup.from_diagonal(direct)

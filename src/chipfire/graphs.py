@@ -153,6 +153,10 @@ def cone(g: Graph, n: int) -> Graph:
 
 
 def is_connected(g: Graph) -> bool:
+    # too few edges to span: answered before the adjacency sets are built,
+    # so a header such as "100000000000 0" allocates nothing
+    if g.edge_count < g.vertex_count - 1:
+        return False
     seen = {0}
     stack = [0]
     while stack:
@@ -232,8 +236,12 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def read_edge_list(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_edge_list(text)
 
 
 def format_edge_list(g: Graph) -> str:

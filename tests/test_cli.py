@@ -2,8 +2,13 @@
 
 import io
 import json
+import os
+import tempfile
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chipfire import cone, complete, format_edge_list, from_edge_list, path
 from chipfire.cli import main
@@ -260,3 +265,102 @@ class TestRegressions:
             ["group", p2, "--cone", huge],
         ):
             assert run(argv) == (3, "")
+
+    def test_huge_edgeless_header_is_disconnected_without_allocating(self, tmp_path):
+        huge = tmp_path / "huge.txt"
+        huge.write_text("100000000000 0\n")
+        tracemalloc.start()
+        try:
+            for argv in (["group", str(huge)], ["verify", "cone", str(huge)]):
+                assert run(argv) == (3, "")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_non_utf8_file_is_an_input_error(self, tmp_path, graph_file, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe3 2\n0 1\n1 2\n")
+        a = graph_file("a.txt", path(3))
+        for argv in (["group", str(bad)], ["verify", "join", a, str(bad)]):
+            assert run(argv) == (2, "")
+            assert str(bad) in capsys.readouterr().err
+
+
+JUNK_TOKENS = st.sampled_from(["x", "1.5", "#", "--", "0x1", "-3", "15"])
+
+
+@st.composite
+def edge_list_bytes(draw):
+    """An edge-list file on at most 8 vertices: well formed two times in
+    three, otherwise with one fault (bad header, out-of-range endpoint, wrong
+    edge count, an inserted junk or comment line, or invalid UTF-8)."""
+    n = draw(st.integers(1, 8))
+    endpoints = st.integers(0, n - 1)
+    pairs = st.tuples(endpoints, endpoints).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pairs, max_size=16)) if n > 1 else []
+    lines = [f"{u} {v}" for u, v in edges]
+    header = [str(n), str(len(edges))]
+    fault = draw(st.integers(0, 14))
+    if fault == 10:
+        header[0] = str(draw(st.integers(-3, 8)))
+    elif fault == 11 and lines:
+        bad = draw(st.tuples(st.integers(-3, 15), st.integers(-3, 15)))
+        lines[draw(st.integers(0, len(lines) - 1))] = f"{bad[0]} {bad[1]}"
+    elif fault == 12:
+        header[1] = str(len(edges) + draw(st.sampled_from([-1, 1])))
+    elif fault == 13:
+        junk = st.lists(JUNK_TOKENS, max_size=3).map(" ".join)
+        extra = draw(st.one_of(st.sampled_from(["# comment", "", "  "]), junk))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    text = "\n".join([" ".join(header)] + lines) + "\n"
+    prefix = draw(st.sampled_from([b"\xff\xfe", b"\x80", b"\xc3("])) if fault == 14 else b""
+    return prefix + text.encode()
+
+
+@st.composite
+def cli_argvs(draw, paths):
+    command = draw(st.sampled_from(
+        ["group", "cone", "join", "verify cone", "verify tree", "verify join", "verify eigen"]
+    ))
+    files = draw(st.lists(st.sampled_from(paths), min_size=1, max_size=3))
+    if command == "group":
+        argv = ["group", files[0]]
+    elif command == "cone":
+        argv = ["cone", files[0], str(draw(st.integers(-1, 4)))]
+    elif command == "join":
+        argv = ["join", *files]
+    else:
+        argv = [*command.split(), *files, "-n", str(draw(st.integers(-1, 4)))]
+    if draw(st.booleans()):
+        argv += ["--cone", str(draw(st.integers(-1, 3)))]
+    if not command.startswith("verify") and draw(st.booleans()):
+        argv += ["--remove-vertex", str(draw(st.integers(-1, 15)))]
+    if draw(st.integers(0, 4)) == 0:
+        argv += ["--format", "table"]
+    return argv
+
+
+class TestCliFuzz:
+    """Every generated command line ends in a documented exit code; nothing
+    else escapes ``main``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(edge_list_bytes(), min_size=1, max_size=3), st.data())
+    def test_generated_inputs_end_in_a_documented_exit_code(self, contents, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for index, content in enumerate(contents):
+                paths.append(os.path.join(tmp, f"g{index}.txt"))
+                with open(paths[-1], "wb") as fh:
+                    fh.write(content)
+            if data.draw(st.integers(0, 9)) == 0:
+                paths.append(os.path.join(tmp, "missing.txt"))
+            argv = data.draw(cli_argvs(paths))
+            try:
+                code, text = run(argv)
+            except SystemExit as exc:
+                code, text = exc.code, ""
+        assert code in (0, 1, 2, 3)
+        if code == 0 and "table" not in argv:
+            assert all(json.loads(line) for line in text.splitlines())

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chipfire import (
     CriticalGroup,
@@ -12,6 +14,7 @@ from chipfire import (
     NotConnectedError,
     SizeError,
     brute_force_spanning_trees,
+    char_poly,
     complete,
     cone,
     critical_group,
@@ -20,7 +23,10 @@ from chipfire import (
     groups_isomorphic,
     is_connected,
     is_tree,
+    laplacian,
     path,
+    poly_divide_by_x,
+    poly_eval,
     random_connected_graph,
     random_tree,
     spanning_tree_count,
@@ -30,6 +36,7 @@ from chipfire import (
     verify_join_theorem,
     verify_tree_bound,
 )
+from chipfire.theorems import _restricted_char_value
 
 GOEL = from_edge_list(6, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
 FORK_TREE = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
@@ -43,6 +50,57 @@ def all_connected_labeled_graphs(max_vertices):
                 g = Graph(n, edges)
                 if is_connected(g):
                     yield g
+
+
+def restricted_char_value_by_poly(g, x):
+    """P(x) through the whole characteristic polynomial, the oracle for the
+    single-determinant value the verifiers use."""
+    return poly_eval(poly_divide_by_x(char_poly(laplacian(g))), x)
+
+
+@st.composite
+def graphs(draw, max_vertices=14, connected=False):
+    """Erdos-Renyi graphs from a drawn seed, disconnected ones included unless
+    ``connected`` asks for random_connected_graph."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    p = draw(st.sampled_from((0.3, 0.5, 0.8) if connected else (0.1, 0.3, 0.5, 0.8)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if connected:
+        return random_connected_graph(rng, n, p)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+nonzero_points = st.one_of(st.integers(-40, -1), st.integers(1, 10))
+
+
+class TestRestrictedCharValueAgainstCharPoly:
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(), st.lists(nonzero_points, min_size=1, max_size=5))
+    def test_random_graphs(self, g, points):
+        for x in points:
+            assert _restricted_char_value(g, x) == restricted_char_value_by_poly(g, x)
+
+    def test_fixed_cases(self):
+        for g in (Graph(1), Graph(5), path(2), complete(6), GOEL, cone(FORK_TREE, 2)):
+            for x in list(range(-40, 0)) + list(range(1, 11)):
+                assert _restricted_char_value(g, x) == restricted_char_value_by_poly(g, x)
+
+    @settings(max_examples=40, deadline=None)
+    @given(graphs(max_vertices=9, connected=True), st.integers(1, 4))
+    def test_cone_report(self, g, n):
+        report = verify_cone_theorem(g, n)
+        assert report.p_at_minus_n == abs(restricted_char_value_by_poly(g, -n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(graphs(max_vertices=6), min_size=2, max_size=3))
+    def test_join_report(self, factors):
+        k = sum(g.vertex_count for g in factors)
+        rhs = k ** (len(factors) - 2)
+        for g in factors:
+            rhs *= abs(restricted_char_value_by_poly(g, g.vertex_count - k))
+        report = verify_join_theorem(factors)
+        assert report.rhs == rhs
+        assert report.holds
 
 
 class TestVerifyConeTheorem:

@@ -103,7 +103,8 @@ def from_edge_list(n: int, pairs: Iterable[Edge]) -> Graph:
 
 # K_m has m(m-1)/2 edges, all built eagerly: K_2048 already holds 2.1M edges
 # (about 0.45 GB of Python objects), and a mistyped cone size such as 10**20
-# would exhaust memory instead of failing
+# would exhaust memory instead of failing.  A join builds k1 * k2 cross edges
+# the same way, so it is held to the cross edges of K_2048 joined with itself.
 MAX_COMPLETE_VERTICES = 2048
 
 
@@ -133,13 +134,19 @@ def join(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union plus every edge between the two vertex sets.
 
     Vertices of g1 keep their indices; vertices of g2 are shifted up by
-    g1.vertex_count.
+    g1.vertex_count.  More than MAX_COMPLETE_VERTICES**2 cross edges raise
+    ``SizeError`` before any edge is built.
     """
-    k1 = g1.vertex_count
+    k1, k2 = g1.vertex_count, g2.vertex_count
+    if k1 * k2 > MAX_COMPLETE_VERTICES**2:
+        raise SizeError(
+            f"join of graphs on {k1} and {k2} vertices needs {k1 * k2} cross edges, "
+            f"more than the limit of {MAX_COMPLETE_VERTICES**2}"
+        )
     edges = list(g1.edges)
     edges += [(u + k1, v + k1) for u, v in g2.edges]
-    edges += [(u, v + k1) for u in range(k1) for v in range(g2.vertex_count)]
-    return Graph(k1 + g2.vertex_count, edges)
+    edges += [(u, v + k1) for u in range(k1) for v in range(k2)]
+    return Graph(k1 + k2, edges)
 
 
 def cone(g: Graph, n: int) -> Graph:

@@ -187,8 +187,11 @@ def verify_eigenvectors(g: Graph, n: int) -> bool:
     k = g.vertex_count
     lap = laplacian(cone(g, n))
     eigenvalue = n + k
-    for d in cone_difference_divisors(k, n):
-        if lap.mul_vector(d) != tuple(eigenvalue * c for c in d):
+    first = lap.column(k)
+    for i, d in enumerate(cone_difference_divisors(k, n), start=k + 1):
+        # d = e_i - e_k, so L d is column i of L minus column k
+        image = tuple(x - y for x, y in zip(lap.column(i), first))
+        if image != tuple(eigenvalue * c for c in d):
             return False
     balanced = tuple([n] * k + [-k] * n)
     return lap.mul_vector(balanced) == tuple(eigenvalue * c for c in balanced)

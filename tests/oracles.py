@@ -16,8 +16,8 @@ from chipfire import (
     determinant,
     laplacian,
     reduced_laplacian,
-    smith_normal_form,
 )
+from chipfire.intlinalg import SnfResult, _nearest_quotient
 from chipfire.sandpile import _check_degree_zero, _require_connected
 
 
@@ -75,6 +75,116 @@ def char_poly(a: IntMatrix) -> IntPoly:
             raise AssertionError("interpolation produced a non-integer coefficient")
         coeffs.append(q)
     return IntPoly(coeffs)
+
+
+# Smith normal form with the witnesses U and V kept as two matrices of their
+# own, so every row and column operation is written once for S and once for
+# U or V.  The library keeps [S | U] in one array and V below it; both must
+# return identical U, S, V and diagonal.  The divisor-class oracles below use
+# this version too.
+
+
+def smith_normal_form(a: IntMatrix) -> SnfResult:
+    """Diagonalize an integer matrix by unimodular row and column operations.
+
+    Pivots are always chosen with minimal absolute value over the remaining
+    submatrix, which keeps intermediate entries small at desk scale.  The
+    returned witnesses satisfy u @ a @ v == s exactly.
+    """
+    m, n = a.rows, a.cols
+    s = a.to_rows()
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def row_add(dst, src, q):
+        # row dst += q * row src, mirrored into u
+        s_dst, s_src = s[dst], s[src]
+        for j in range(n):
+            s_dst[j] += q * s_src[j]
+        u_dst, u_src = u[dst], u[src]
+        for j in range(m):
+            u_dst[j] += q * u_src[j]
+
+    def col_add(dst, src, q):
+        # column dst += q * column src, mirrored into v
+        for row in s:
+            row[dst] += q * row[src]
+        for row in v:
+            row[dst] += q * row[src]
+
+    def row_swap(i, j):
+        s[i], s[j] = s[j], s[i]
+        u[i], u[j] = u[j], u[i]
+
+    def col_swap(i, j):
+        for row in s:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def row_negate(i):
+        s[i] = [-x for x in s[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    limit = min(m, n)
+    while t < limit:
+        # minimal-absolute-value nonzero pivot over the working submatrix
+        best = None
+        for i in range(t, m):
+            row = s[i]
+            for j in range(t, n):
+                x = row[j]
+                if x != 0 and (best is None or abs(x) < best[0]):
+                    best = (abs(x), i, j)
+        if best is None:
+            break
+        _, pi, pj = best
+        if pi != t:
+            row_swap(t, pi)
+        if pj != t:
+            col_swap(t, pj)
+        p = s[t][t]
+
+        dirty = False
+        for i in range(t + 1, m):
+            if s[i][t] != 0:
+                row_add(i, t, -_nearest_quotient(s[i][t], p))
+                if s[i][t] != 0:
+                    dirty = True
+        for j in range(t + 1, n):
+            if s[t][j] != 0:
+                col_add(j, t, -_nearest_quotient(s[t][j], p))
+                if s[t][j] != 0:
+                    dirty = True
+        if dirty:
+            continue  # leftover remainders are smaller than p; rescan
+
+        # pivot must divide the rest of the submatrix for the divisibility chain
+        offender = None
+        for i in range(t + 1, m):
+            row = s[i]
+            for j in range(t + 1, n):
+                if row[j] % p != 0:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            row_add(t, offender, 1)  # drags the bad entry into row t
+            continue
+
+        if p < 0:
+            row_negate(t)
+        t += 1
+
+    diagonal = tuple(s[i][i] for i in range(limit))
+    return SnfResult(
+        u=IntMatrix.from_rows(u) if m else IntMatrix(0, 0, []),
+        s=IntMatrix.from_rows(s) if m else IntMatrix(0, n, []),
+        v=IntMatrix.from_rows(v) if n else IntMatrix(0, 0, []),
+        diagonal=diagonal,
+    )
 
 
 # Divisor-class queries through the witnessed SNF of the full Laplacian and

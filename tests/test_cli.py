@@ -278,6 +278,26 @@ class TestRegressions:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_huge_header_join_is_a_size_error(self, tmp_path, graph_file):
+        huge = tmp_path / "huge.txt"
+        huge.write_text("100000000000 0\n")
+        huge = str(huge)
+        p2 = graph_file("p2.txt", path(2))
+        tracemalloc.start()
+        try:
+            for argv in (
+                ["cone", huge, "1"],
+                ["group", huge, "--cone", "1"],
+                ["verify", "eigen", huge],
+                ["verify", "join", p2, huge],
+                ["join", huge, p2],
+            ):
+                assert run(argv) == (3, "")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_non_utf8_file_is_an_input_error(self, tmp_path, graph_file, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"\xff\xfe3 2\n0 1\n1 2\n")

@@ -78,6 +78,22 @@ class TestConstruction:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_huge_join_rejected_before_allocating(self):
+        tracemalloc.start()
+        try:
+            for build in (
+                lambda: join(Graph(10**11), path(2)),
+                lambda: join(path(2), Graph(10**11)),
+                lambda: cone(Graph(10**11), 1),
+                lambda: join(Graph(MAX_COMPLETE_VERTICES**2 + 1), Graph(1)),
+            ):
+                with pytest.raises(SizeError):
+                    build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_path_and_cycle(self):
         assert path(5).edge_count == 4
         assert path(1) == complete(1)

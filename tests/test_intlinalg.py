@@ -14,11 +14,13 @@ from chipfire import (
     IntMatrix,
     IntPoly,
     char_poly,
+    cone,
     determinant,
     intlinalg,
     laplacian,
     poly_divide_by_x,
     poly_eval,
+    reduced_laplacian,
     smith_normal_form,
 )
 
@@ -262,6 +264,59 @@ class TestCharPolyAgainstInterpolation:
     def test_laplacians_of_connected_graphs(self, g):
         lap = laplacian(g)
         assert char_poly(lap) == oracles.char_poly(lap)
+
+
+@st.composite
+def snf_matrices(draw):
+    """Matrices of 0-9 rows and 0-9 columns, empty shapes included, with
+    small, sparse or +-2**70 entries."""
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    bound = draw(st.sampled_from((9, 2**70)))
+    entry = st.integers(min_value=-bound, max_value=bound)
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(0), st.just(0), st.just(0), entry)
+    return IntMatrix(rows, cols, draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)))
+
+
+@st.composite
+def reduced_laplacians(draw):
+    """Reduced Laplacians of connected graphs and of cones over them, up to
+    about 40 vertices, with a drawn vertex removed."""
+    g = draw(connected_graphs(max_vertices=40))
+    if draw(st.booleans()):
+        g = cone(draw(connected_graphs(max_vertices=12)), draw(st.integers(1, 28)))
+    return reduced_laplacian(g, draw(st.integers(0, g.vertex_count - 1)))
+
+
+class TestSmithNormalFormAgainstTwoWitnessOracle:
+    """The one-array SNF against the version that keeps U and V apart: the
+    same operations in the same order, so every output must be identical."""
+
+    @staticmethod
+    def assert_identical(a):
+        new, old = smith_normal_form(a), oracles.smith_normal_form(a)
+        assert new.u == old.u
+        assert new.s == old.s
+        assert new.v == old.v
+        assert new.diagonal == old.diagonal
+
+    @settings(max_examples=300, deadline=None)
+    @given(snf_matrices())
+    def test_random_matrices(self, a):
+        self.assert_identical(a)
+
+    @settings(max_examples=25, deadline=None)
+    @given(reduced_laplacians())
+    def test_reduced_laplacians(self, a):
+        self.assert_identical(a)
+
+    def test_empty_shapes(self):
+        for rows, cols in ((0, 0), (0, 4), (3, 0)):
+            self.assert_identical(IntMatrix.zeros(rows, cols))
+            result = smith_normal_form(IntMatrix.zeros(rows, cols))
+            assert (result.u.rows, result.s.rows, result.s.cols, result.v.cols) == (
+                rows, rows, cols, cols,
+            )
 
 
 class TestCharPolyModularEdgeCases:

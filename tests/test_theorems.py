@@ -253,6 +253,11 @@ class TestVerifyEigenvectors:
         # the identities are degree computations and hold without connectivity
         assert verify_eigenvectors(Graph(3, [(0, 1)]), 2)
 
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_vertices=10), st.integers(1, 8))
+    def test_random_graphs(self, g, n):
+        assert verify_eigenvectors(g, n)
+
 
 class TestBruteForceSpanningTrees:
     def test_complete_four(self):

@@ -2,8 +2,11 @@
 
 Reads edge-list files, runs group computations or theorem verifications, and
 emits line-delimited JSON (default) or aligned tables.  Output is
-deterministic: stable key order, stable array order, group orders serialized
-as decimal strings so downstream consumers never overflow.
+deterministic: stable key order, stable array order.  Every number that can
+outgrow 2**53 (group orders, invariant factors, characteristic polynomial
+coefficients, both sides of the order formulas) is a decimal string, so
+consumers that read JSON numbers as doubles never truncate it; vertex, edge
+and generator counts stay JSON ints.
 
 Exit codes: 0 success / all checks hold, 1 a verification check failed,
 2 input error, 3 precondition error (for example a disconnected graph).
@@ -132,17 +135,21 @@ def _load(path: str, cone_size: Optional[int]) -> tuple:
     return _apply_cone(raw, cone_size), f"{path}: {_summarize(raw)}"
 
 
+def _decimals(values: Iterable[int]) -> list:
+    return [str(x) for x in values]
+
+
 def _group_result(g: Graph, remove: int = 0) -> dict:
     group = critical_group(g, remove)
     poly = char_poly_restricted(g)
     return {
         "vertices": g.vertex_count,
         "edges": g.edge_count,
-        "invariant_factors": list(group.invariant_factors),
+        "invariant_factors": _decimals(group.invariant_factors),
         "group": str(group),
         "order": str(group.order),
         "spanning_trees": str(spanning_tree_count(g, remove)),
-        "char_poly": list(poly.coefficients),
+        "char_poly": _decimals(poly.coefficients),
         "char_poly_str": str(poly),
     }
 
@@ -155,10 +162,10 @@ def _cone_report_result(report: ConeSequenceReport) -> dict:
     return {
         "base_vertices": report.base_vertices,
         "cone_size": report.cone_size,
-        "pic0_factors": list(report.pic0.invariant_factors),
+        "pic0_factors": _decimals(report.pic0.invariant_factors),
         "pic0_order": str(report.pic0.order),
-        "subgroup_factors": list(report.subgroup.invariant_factors),
-        "quotient_factors": list(report.quotient_h.invariant_factors),
+        "subgroup_factors": _decimals(report.subgroup.invariant_factors),
+        "quotient_factors": _decimals(report.quotient_h.invariant_factors),
         "quotient_order": str(report.quotient_h.order),
         "p_at_minus_n": str(report.p_at_minus_n),
         "order_formula_holds": report.order_formula_holds,

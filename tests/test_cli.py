@@ -2,7 +2,9 @@
 
 import io
 import json
+import math
 import os
+import random
 import tempfile
 import tracemalloc
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chipfire import cone, complete, format_edge_list, from_edge_list, path
+from chipfire import cone, complete, format_edge_list, from_edge_list, path, random_connected_graph
 from chipfire.cli import main
 
 GOEL = from_edge_list(6, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
@@ -45,7 +47,7 @@ class TestGroupCommand:
         code, records = run_json(["group", fan])
         assert code == 0
         result = records[0]["result"]
-        assert result["invariant_factors"] == [55]
+        assert result["invariant_factors"] == ["55"]
         assert result["order"] == "55"
         assert result["spanning_trees"] == "55"
 
@@ -53,7 +55,7 @@ class TestGroupCommand:
         k4 = graph_file("k4.txt", complete(4))
         code, records = run_json(["group", k4])
         assert code == 0
-        assert records[0]["result"]["invariant_factors"] == [4, 4]
+        assert records[0]["result"]["invariant_factors"] == ["4", "4"]
         assert records[0]["result"]["order"] == "16"
 
     def test_single_vertex(self, graph_file):
@@ -69,7 +71,7 @@ class TestGroupCommand:
         p5 = graph_file("p5.txt", path(5))
         code, records = run_json(["group", p5, "--cone", "1"])
         assert code == 0
-        assert records[0]["result"]["invariant_factors"] == [55]
+        assert records[0]["result"]["invariant_factors"] == ["55"]
 
     def test_remove_vertex_flag_is_invisible(self, graph_file):
         goel = graph_file("goel.txt", GOEL)
@@ -105,7 +107,7 @@ class TestConeAndJoinCommands:
         assert code == 0
         result = records[0]["result"]
         assert result["vertices"] == 6
-        assert result["invariant_factors"] == [6, 6, 6, 6]
+        assert result["invariant_factors"] == ["6", "6", "6", "6"]
 
     def test_fan_via_cone_command(self, graph_file):
         p5 = graph_file("p5.txt", path(5))
@@ -131,7 +133,7 @@ class TestVerifyCommand:
         assert result["order_formula_holds"] is True
         assert result["subgroup_is_expected"] is True
         assert result["splits"] is False
-        assert result["pic0_factors"] == [144, 8208]
+        assert result["pic0_factors"] == ["144", "8208"]
 
     def test_tree_verification(self, graph_file):
         tree = graph_file("tree.txt", FORK_TREE)
@@ -226,6 +228,38 @@ class TestOutputFormats:
         assert len(lines) == 2
         for line in lines:
             json.loads(line)
+
+
+def json_ints(value):
+    """Every JSON number in a decoded record, booleans excluded."""
+    if isinstance(value, dict):
+        return [x for v in value.values() for x in json_ints(v)]
+    if isinstance(value, list):
+        return [x for v in value for x in json_ints(v)]
+    return [value] if isinstance(value, int) and not isinstance(value, bool) else []
+
+
+class TestJsonContract:
+    def test_no_json_int_above_2_53(self, graph_file):
+        # Pic0 of this graph has a cyclic factor of about 2**70, and the
+        # second cone over it factors beyond 2**53 as well
+        g = graph_file("g.txt", random_connected_graph(random.Random(1), 18, 0.6))
+        code, group = run_json(["group", g])
+        assert code == 0
+        code, verify = run_json(["verify", "cone", g, "-n", "2"])
+        assert code == 0
+        for record in group + verify:
+            assert all(abs(x) <= 2**53 for x in json_ints(record))
+        result = group[0]["result"]
+        assert result["vertices"] == 18
+        assert math.prod(int(d) for d in result["invariant_factors"]) == int(result["order"])
+        assert max(int(d) for d in result["invariant_factors"]) > 2**53
+        assert max(abs(int(c)) for c in result["char_poly"]) > 2**53
+        result = verify[0]["result"]
+        assert result["subgroup_factors"] == ["20"]
+        assert math.prod(int(d) for d in result["pic0_factors"]) == int(result["pic0_order"])
+        assert math.prod(int(d) for d in result["quotient_factors"]) == int(result["quotient_order"])
+        assert (result["base_vertices"], result["cone_size"]) == (18, 2)
 
 
 class TestRegressions:

@@ -312,9 +312,10 @@ class TestSmithNormalFormAgainstTwoWitnessOracle:
 
     def test_empty_shapes(self):
         for rows, cols in ((0, 0), (0, 4), (3, 0)):
-            self.assert_identical(IntMatrix.zeros(rows, cols))
-            result = smith_normal_form(IntMatrix.zeros(rows, cols))
-            assert (result.u.rows, result.s.rows, result.s.cols, result.v.cols) == (
+            a = IntMatrix.zeros(rows, cols)
+            self.assert_identical(a)
+            result = smith_normal_form(a)
+            assert (result.u.rows, result.s.rows, result.s.cols, result.v.rows) == (
                 rows, rows, cols, cols,
             )
 

@@ -23,7 +23,7 @@ from typing import Iterable, List, Optional, Sequence
 
 from .errors import InputError, NotConnectedError, SizeError
 from .graphs import Graph, cone, join, read_edge_list
-from .sandpile import char_poly_restricted, critical_group, spanning_tree_count
+from .sandpile import char_poly_restricted, critical_group
 from .theorems import (
     ConeSequenceReport,
     JoinOrderReport,
@@ -148,7 +148,7 @@ def _group_result(g: Graph, remove: int = 0) -> dict:
         "invariant_factors": _decimals(group.invariant_factors),
         "group": str(group),
         "order": str(group.order),
-        "spanning_trees": str(spanning_tree_count(g, remove)),
+        "spanning_trees": str(abs(poly.coefficients[0]) // g.vertex_count),  # |P(0)| = k * tau
         "char_poly": _decimals(poly.coefficients),
         "char_poly_str": str(poly),
     }

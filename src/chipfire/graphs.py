@@ -46,7 +46,10 @@ class Graph:
             raise InputError(f"vertex count must be a positive integer, got {vertex_count!r}")
         canonical = set()
         for pair in edges:
-            u, v = pair
+            try:
+                u, v = pair
+            except (TypeError, ValueError):
+                raise InputError(f"edge {pair!r} must be a pair of vertices") from None
             if not isinstance(u, int) or not isinstance(v, int):
                 raise InputError(f"edge endpoints must be integers, got {pair!r}")
             if u == v:

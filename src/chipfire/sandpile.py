@@ -55,8 +55,9 @@ __all__ = [
 class CriticalGroup:
     """Finite abelian group in canonical invariant-factor form.
 
-    Factors are each at least 2 and each divides the next; the trivial group
-    is the empty tuple, so isomorphism is plain equality of factor lists.
+    Factors are each at least 2 and each divides the next, so isomorphism is
+    plain equality of factor lists (the trivial group is the empty tuple).
+    Direct sums of cyclic groups reach this form by Z/a x Z/b = Z/gcd x Z/lcm.
     """
 
     invariant_factors: tuple
@@ -85,30 +86,29 @@ class CriticalGroup:
 
     @classmethod
     def from_diagonal(cls, diagonal: Iterable[int]) -> "CriticalGroup":
-        """Canonical group from an SNF diagonal; unit entries are dropped."""
-        factors = []
-        for d in diagonal:
-            if d == 0:
-                raise InputError("zero diagonal entry: the quotient group is infinite")
-            if abs(d) > 1:
-                factors.append(abs(d))
-        return cls(factors)
+        """Cokernel of any nonsingular integer diagonal matrix, in canonical form."""
+        diagonal = list(diagonal)
+        if 0 in diagonal:
+            raise InputError("zero diagonal entry: the quotient group is infinite")
+        return cls.from_cyclic_orders(abs(d) for d in diagonal)
 
     @classmethod
     def from_cyclic_orders(cls, orders: Iterable[int]) -> "CriticalGroup":
-        """Canonicalize a direct sum of cyclic groups of the given orders."""
+        """Canonicalize a direct sum of cyclic groups of the given orders.  In
+        ascending order, each order joins the chain and moves left as
+        (a, b) -> (gcd, lcm) while its left neighbour a does not divide it."""
         orders = [o for o in orders]
         for o in orders:
             if not isinstance(o, int) or o < 1:
                 raise InputError(f"cyclic order {o!r} must be a positive integer")
-        if not orders:
-            return cls(())
-        diag = IntMatrix(
-            len(orders),
-            len(orders),
-            [orders[i] if i == j else 0 for i in range(len(orders)) for j in range(len(orders))],
-        )
-        return cls.from_diagonal(smith_normal_form(diag).diagonal)
+        chain = sorted(orders)
+        for end in range(len(chain)):
+            i = end
+            while i > 0 and chain[i] % chain[i - 1] != 0:
+                g = math.gcd(chain[i - 1], chain[i])
+                chain[i - 1], chain[i] = g, chain[i - 1] // g * chain[i]
+                i -= 1
+        return cls(o for o in chain if o > 1)
 
     def __str__(self):
         if self.is_trivial:

@@ -187,6 +187,64 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     )
 
 
+# Canonical forms of direct sums of cyclic groups.  The library sweeps the
+# orders with (a, b) -> (gcd(a, b), lcm(a, b)); these are two routes that do
+# not: the SNF of the diagonal matrix of orders (the library's earlier code),
+# and elementary divisors from a factorization of every order.
+
+
+def from_cyclic_orders(orders: Iterable[int]) -> CriticalGroup:
+    """Canonicalize a direct sum of cyclic groups of the given orders."""
+    orders = [o for o in orders]
+    for o in orders:
+        if not isinstance(o, int) or o < 1:
+            raise InputError(f"cyclic order {o!r} must be a positive integer")
+    if not orders:
+        return CriticalGroup(())
+    diag = IntMatrix(
+        len(orders),
+        len(orders),
+        [orders[i] if i == j else 0 for i in range(len(orders)) for j in range(len(orders))],
+    )
+    # the SNF diagonal is already a chain: keep the factors >= 2 and let the
+    # constructor check the chain, rather than canonicalize it a second time
+    return CriticalGroup(d for d in smith_normal_form(diag).diagonal if d > 1)
+
+
+def _prime_exponents(n: int) -> dict:
+    """{p: e} with n = prod p**e, by trial division."""
+    exponents = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            exponents[p] = exponents.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        exponents[n] = exponents.get(n, 0) + 1
+    return exponents
+
+
+def elementary_divisor_group(orders: Iterable[int]) -> CriticalGroup:
+    """Canonical group from the elementary divisors of the given orders.
+
+    Z/o splits into Z/p**e over the prime powers p**e exactly dividing o.
+    For each prime, its exponents sorted descending fill the invariant
+    factors from the largest down.  Trial division makes this practical for
+    orders up to about 10**12 or with small prime factors only.
+    """
+    by_prime = {}
+    for o in orders:
+        for p, e in _prime_exponents(o).items():
+            by_prime.setdefault(p, []).append(e)
+    length = max((len(es) for es in by_prime.values()), default=0)
+    factors = [1] * length
+    for p, es in by_prime.items():
+        for i, e in enumerate(sorted(es, reverse=True)):
+            factors[length - 1 - i] *= p**e
+    return CriticalGroup(factors)
+
+
 # Divisor-class queries through the witnessed SNF of the full Laplacian and
 # through Laplacian-sized augmented matrices.  The library answers the same
 # questions from one cached presentation of Pic0; these are the earlier

@@ -12,7 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chipfire import cone, complete, format_edge_list, from_edge_list, path, random_connected_graph
+from chipfire import (
+    complete,
+    cone,
+    format_edge_list,
+    from_edge_list,
+    path,
+    random_connected_graph,
+    spanning_tree_count,
+)
 from chipfire.cli import main
 
 GOEL = from_edge_list(6, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
@@ -98,6 +106,25 @@ class TestGroupCommand:
     def test_byte_identical_reruns(self, graph_file):
         goel = graph_file("goel.txt", GOEL)
         assert run(["group", goel]) == run(["group", goel])
+
+
+class TestSpanningTreesField:
+    """``spanning_trees`` is read off the restricted characteristic
+    polynomial, |P(0)| = k * tau, not off a determinant of its own."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 8), st.integers(0, 3))
+    def test_equals_spanning_tree_count(self, seed, vertices, cone_size):
+        g = random_connected_graph(random.Random(seed), vertices)
+        if cone_size:
+            g = cone(g, cone_size)
+        with tempfile.TemporaryDirectory() as tmp:
+            target = os.path.join(tmp, "g.txt")
+            with open(target, "w", encoding="utf-8") as fh:
+                fh.write(format_edge_list(g))
+            code, records = run_json(["group", target])
+        assert code == 0
+        assert records[0]["result"]["spanning_trees"] == str(spanning_tree_count(g))
 
 
 class TestConeAndJoinCommands:

@@ -1,5 +1,6 @@
 """Tests for graph construction, queries, and the edge-list format."""
 
+import re
 import tracemalloc
 
 import pytest
@@ -51,6 +52,12 @@ class TestConstruction:
     def test_self_loop(self):
         with pytest.raises(InputError):
             from_edge_list(2, [(1, 1)])
+
+    @pytest.mark.parametrize("edge", [(0, 1, 2), 5, (0,)])
+    def test_malformed_edge_names_the_edge(self, edge):
+        # tuple unpacking alone raises a bare ValueError or TypeError here
+        with pytest.raises(InputError, match=re.escape(f"edge {edge!r}")):
+            Graph(3, [edge])
 
     def test_empty_graph_rejected(self):
         with pytest.raises(InputError):

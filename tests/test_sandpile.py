@@ -7,6 +7,7 @@ system gives an all-integer solution, which needs nothing but determinants.
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -141,6 +142,98 @@ class TestCriticalGroupType:
 
     def test_str(self):
         assert str(CriticalGroup((4, 4))) == "Z/4 x Z/4"
+
+
+# primes below 1000, so trial division factors a product of them at once
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 31, 97, 101, 997)
+
+
+@st.composite
+def smooth_orders(draw):
+    """Orders up to 2**70 whose prime factors are all below 1000."""
+    n = 1
+    for p in draw(st.lists(st.sampled_from(SMALL_PRIMES), max_size=40)):
+        if n * p > 2**70:
+            break
+        n *= p
+    return n
+
+
+@st.composite
+def order_lists(draw):
+    """0-12 cyclic orders: 1s, small values, values up to 10**6 and smooth
+    values up to 2**70, with repeats."""
+    order = st.one_of(st.integers(1, 12), st.integers(1, 10**6), smooth_orders())
+    orders = draw(st.lists(order, max_size=12))
+    if orders:
+        orders += draw(st.lists(st.sampled_from(orders), max_size=12 - len(orders)))
+    return draw(st.permutations(orders))
+
+
+class TestCanonicalForm:
+    """The gcd/lcm sweep against the SNF of the diagonal matrix of orders and
+    against elementary divisors found by trial division."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(order_lists())
+    def test_from_cyclic_orders(self, orders):
+        group = CriticalGroup.from_cyclic_orders(orders)
+        assert group == oracles.from_cyclic_orders(orders)
+        assert group == oracles.elementary_divisor_group(orders)
+
+    @settings(max_examples=200, deadline=None)
+    @given(order_lists(), st.data())
+    def test_from_diagonal_takes_signs_and_rejects_zero(self, orders, data):
+        diagonal = [o * data.draw(st.sampled_from((1, -1))) for o in orders]
+        group = CriticalGroup.from_diagonal(diagonal)
+        assert group == oracles.from_cyclic_orders(orders)
+        assert group == oracles.elementary_divisor_group(orders)
+        diagonal.insert(data.draw(st.integers(0, len(diagonal))), 0)
+        with pytest.raises(InputError):
+            CriticalGroup.from_diagonal(diagonal)
+
+    @settings(max_examples=200, deadline=None)
+    @given(order_lists(), order_lists())
+    def test_direct_sum(self, a_orders, b_orders):
+        a = oracles.from_cyclic_orders(a_orders)
+        b = oracles.elementary_divisor_group(b_orders)
+        total = direct_sum(a, b)
+        assert total == oracles.from_cyclic_orders(a_orders + b_orders)
+        assert total == oracles.elementary_divisor_group(a_orders + b_orders)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 2**70), max_size=12))
+    def test_arbitrary_orders_up_to_2_70(self, orders):
+        # too slow to factor by trial division: the SNF oracle only
+        assert CriticalGroup.from_cyclic_orders(orders) == oracles.from_cyclic_orders(orders)
+
+    def test_302_random_orders(self):
+        # the SNF of the 302 x 302 diagonal takes minutes, because its
+        # witnesses grow: elementary divisors only
+        rng = random.Random(302)
+        orders = [rng.randint(1, 10**6) for _ in range(302)]
+        assert CriticalGroup.from_cyclic_orders(orders) == oracles.elementary_divisor_group(orders)
+
+    def test_many_equal_orders_in_little_memory(self):
+        orders = [2050] * 1999 + [3, 5, 7]
+        tracemalloc.start()
+        try:
+            group = CriticalGroup.from_cyclic_orders(orders)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert group.invariant_factors == (5,) + (2050,) * 1998 + (2050 * 3 * 7,)
+        assert group == oracles.elementary_divisor_group(orders)
+
+    def test_diagonal_need_not_be_a_chain(self):
+        assert CriticalGroup.from_diagonal((2, 3)).invariant_factors == (6,)
+        assert CriticalGroup.from_diagonal((-4, 6, 1)).invariant_factors == (2, 12)
+
+    def test_rejects_orders_that_are_not_positive_integers(self):
+        for bad in ([0], [4, -3], [2.0], ["6"]):
+            with pytest.raises(InputError):
+                CriticalGroup.from_cyclic_orders(bad)
 
 
 class TestCriticalGroup:

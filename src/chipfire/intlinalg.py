@@ -4,11 +4,14 @@ Everything in this module runs on plain Python ints, so there is no
 coefficient-size limit and no floating point anywhere.  The three workhorses
 are Smith normal form with unimodular witness matrices, the Bareiss
 fraction-free determinant, and an exact characteristic polynomial computed by
-Hessenberg reduction modulo primes just below 2**62 and combined by the
-Chinese remainder theorem.  Enough primes are used for their product to
-exceed twice the bound prod_i (1 + ceil(|row_i|_2)) on every coefficient,
-which holds because the coefficient of x^(m-j) is a signed sum of j x j
-principal minors and Hadamard's inequality bounds each of them.
+one Hessenberg reduction modulo M, the product of enough primes just below
+2**62 for M to exceed twice the bound prod_i (1 + ceil(|row_i|_2)) on every
+coefficient.  That bound holds because the coefficient of x^(m-j) is a
+signed sum of j x j principal minors and Hadamard's inequality bounds each
+of them.  Similarity transforms and the Hessenberg recurrence are ring
+identities, so working mod M is exact as long as every pivot is a unit
+mod M; if one is not, the reduction runs once per prime and the residues
+are combined by the Chinese remainder theorem.
 """
 
 from __future__ import annotations
@@ -385,7 +388,10 @@ def _crt_prime(index: int) -> int:
 
 
 def _char_poly_mod(rows: list, p: int) -> list:
-    """Ascending coefficients of det(xI - a) mod p, a given as its rows."""
+    """Ascending coefficients of det(xI - a) mod p, a given as its rows.
+
+    p may be composite; ValueError if a pivot is not a unit mod p.
+    """
     m = len(rows)
     h = [[x % p for x in row] for row in rows]
     # reduce to upper Hessenberg form by similarity transforms
@@ -435,13 +441,17 @@ def _char_poly_mod(rows: list, p: int) -> list:
 def char_poly(a: IntMatrix) -> IntPoly:
     """Monic characteristic polynomial det(xI - a) with integer coefficients.
 
-    Computed modulo primes just below 2**62 and combined by the Chinese
-    remainder theorem.  For each prime p, a mod p is reduced to upper
-    Hessenberg form H by similarity, and det(xI - H) follows from the
-    O(m^3) Hessenberg recurrence.  Reduction mod p commutes with taking the
-    characteristic polynomial, so every prime is usable.
+    Computed in one lane modulo M, the product of enough primes just below
+    2**62: a mod M is reduced to upper Hessenberg form H by similarity, and
+    det(xI - H) follows from the O(m^3) Hessenberg recurrence.  Both steps
+    hold over any commutative ring, except that eliminating below a pivot
+    needs its inverse; so the lane is exact whenever every pivot it meets
+    is a unit mod M.  When a pivot is 0 modulo one prime but not modulo M,
+    the inverse does not exist and ``pow`` raises ValueError; the lane is
+    then rerun once per prime (over a field every nonzero pivot is a unit)
+    and the residues are combined by the Chinese remainder theorem.
 
-    Primes are added until their product exceeds 2B with
+    Primes are taken until their product exceeds 2B with
     B = prod_i (1 + ceil(|row_i|_2)).  B bounds every coefficient: the
     coefficient of x^(m-j) is +-(sum of the j x j principal minors), each
     minor is at most the product of its rows' norms by Hadamard's
@@ -457,18 +467,24 @@ def char_poly(a: IntMatrix) -> IntPoly:
         norm_ceiling = math.isqrt(squares - 1) + 1 if squares else 0
         bound *= 1 + norm_ceiling
 
-    coeffs = [0] * (a.rows + 1)  # residues modulo the product of primes so far
+    primes = []
     modulus = 1
-    index = 0
     while modulus <= 2 * bound:
-        p = _crt_prime(index)
-        residues = _char_poly_mod(rows, p)
+        primes.append(_crt_prime(len(primes)))
+        modulus *= primes[-1]
+    try:
+        lanes = [(modulus, _char_poly_mod(rows, modulus))]
+    except ValueError:  # a pivot is 0 modulo some prime but not modulo all
+        lanes = [(p, _char_poly_mod(rows, p)) for p in primes]
+
+    coeffs = [0] * (a.rows + 1)  # residues modulo the product of lanes so far
+    modulus = 1
+    for p, residues in lanes:
         inv = pow(modulus, -1, p)
         coeffs = [
             c + modulus * ((r - c) * inv % p) for c, r in zip(coeffs, residues)
         ]
         modulus *= p
-        index += 1
     half = modulus // 2
     return IntPoly([c - modulus if c > half else c for c in coeffs])
 

@@ -292,10 +292,19 @@ def subgroup_invariants(g: Graph, generators: Iterable[Sequence[int]]) -> Critic
     columns s.. of the SNF column witness V.  It has full rank, because it
     contains d_s times every unit vector.
     """
-    r, snf = _generated_snf(g, generators)
+    return _subgroup_from_snf(*_generated_snf(g, generators))
+
+
+def _subgroup_from_snf(r: int, snf) -> CriticalGroup:
     s = snf.u.rows
     relations = [snf.v.entry(i, j) for i in range(r) for j in range(s, s + r)]
     return CriticalGroup.from_diagonal(smith_normal_form(IntMatrix(r, r, relations)).diagonal)
+
+
+def _subgroup_and_quotient(g: Graph, generators: Iterable[Sequence[int]]) -> tuple:
+    """(subgroup_invariants, quotient_by_classes) from one SNF of [C | diag(d)]."""
+    r, snf = _generated_snf(g, generators)
+    return _subgroup_from_snf(r, snf), CriticalGroup.from_diagonal(snf.diagonal)
 
 
 def groups_isomorphic(a: CriticalGroup, b: CriticalGroup) -> bool:

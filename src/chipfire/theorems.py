@@ -20,13 +20,13 @@ from .graphs import Graph, cone, is_connected, is_tree, join, leaves
 from .intlinalg import IntMatrix, determinant
 from .sandpile import (
     CriticalGroup,
+    _subgroup_and_quotient,
     critical_group,
     direct_sum,
     groups_isomorphic,
     laplacian,
     quotient_by_classes,
     spanning_tree_count,
-    subgroup_invariants,
 )
 
 __all__ = [
@@ -116,8 +116,7 @@ def verify_cone_theorem(g: Graph, n: int) -> ConeSequenceReport:
     coned = cone(g, n)
     generators = cone_difference_divisors(k, n)
     pic0 = critical_group(coned)
-    subgroup = subgroup_invariants(coned, generators)
-    quotient_h = quotient_by_classes(coned, generators)
+    subgroup, quotient_h = _subgroup_and_quotient(coned, generators)
     p_at_minus_n = abs(_restricted_char_value(g, -n))
     expected_subgroup = CriticalGroup((n + k,) * (n - 1))
     return ConeSequenceReport(

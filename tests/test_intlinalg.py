@@ -1,10 +1,11 @@
 """Tests for the exact integer linear algebra kernel."""
 
+import contextlib
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -20,6 +21,7 @@ from chipfire import (
     laplacian,
     poly_divide_by_x,
     poly_eval,
+    random_connected_graph,
     reduced_laplacian,
     smith_normal_form,
 )
@@ -374,6 +376,86 @@ class TestCharPolyModularEdgeCases:
         a = IntMatrix.from_rows([[big, 1], [-1, -big]])
         assert char_poly(a) == IntPoly([1 - big * big, 0, 1])
         assert len(intlinalg._CRT_PRIMES) > known
+
+
+def hadamard_primes(a):
+    """The CRT primes whose product first exceeds twice the Hadamard bound
+    prod_i (1 + ceil(|row_i|_2)) on the coefficients of det(xI - a)."""
+    bound = 1
+    for row in a:
+        squares = sum(x * x for x in row)
+        bound *= 1 + (math.isqrt(squares - 1) + 1 if squares else 0)
+    primes = []
+    while math.prod(primes) <= 2 * bound:
+        primes.append(intlinalg._crt_prime(len(primes)))
+    return primes
+
+
+@contextlib.contextmanager
+def recorded_lanes():
+    """Records (modulus, raised) for every call of intlinalg._char_poly_mod."""
+    calls = []
+    real = intlinalg._char_poly_mod
+
+    def spy(rows, modulus):
+        try:
+            result = real(rows, modulus)
+        except ValueError:
+            calls.append((modulus, True))
+            raise
+        calls.append((modulus, False))
+        return result
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(intlinalg, "_char_poly_mod", spy)
+        yield calls
+
+
+@st.composite
+def matrices_with_prime_entries(draw):
+    """Square 0-8 matrices whose entries mix small ints with +-p0, +-p1 and
+    p0*p1 for the first two CRT primes, so that pivots are often 0 modulo
+    one prime but not modulo the product."""
+    p0, p1 = intlinalg._crt_prime(0), intlinalg._crt_prime(1)
+    m = draw(st.integers(min_value=0, max_value=8))
+    entry = st.one_of(
+        st.integers(-3, 3), st.sampled_from((p0, -p0, p1, -p1, p0 * p1))
+    )
+    return IntMatrix(m, m, draw(st.lists(entry, min_size=m * m, max_size=m * m)))
+
+
+class TestCharPolyOneLane:
+    """char_poly runs one Hessenberg lane modulo the product of the CRT
+    primes, and one lane per prime only when a pivot is not a unit."""
+
+    def test_connected_laplacian_takes_one_lane(self):
+        # 5, 20 and 40 vertices need 1, 2 and 3 primes
+        for n, prime_count in ((5, 1), (20, 2), (40, 3)):
+            lap = laplacian(random_connected_graph(random.Random(n), n, 0.3))
+            primes = hadamard_primes(lap)
+            assert len(primes) == prime_count
+            with recorded_lanes() as calls:
+                result = char_poly(lap)
+            assert calls == [(math.prod(primes), False)]
+            assert result == oracles.char_poly(lap)
+
+    def test_non_unit_pivot_falls_back_to_one_lane_per_prime(self):
+        p = intlinalg._crt_prime(0)
+        a = IntMatrix.from_rows([[p, p, 0], [p, -p, p], [0, p, p]])
+        with recorded_lanes() as calls:
+            result = char_poly(a)
+        primes = hadamard_primes(a)
+        assert len(primes) > 1
+        assert calls == [(math.prod(primes), True)] + [(q, False) for q in primes]
+        assert result == oracles.char_poly(a)
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrices_with_prime_entries())
+    def test_prime_entries_against_interpolation(self, a):
+        with recorded_lanes() as calls:
+            result = char_poly(a)
+        event("per-prime fallback" if calls[0][1] else "one lane")
+        assert result == oracles.char_poly(a)
 
 
 class TestPolyOps:

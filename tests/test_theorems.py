@@ -17,8 +17,10 @@ from chipfire import (
     char_poly,
     complete,
     cone,
+    cone_difference_divisors,
     critical_group,
     cycle,
+    direct_sum,
     from_edge_list,
     groups_isomorphic,
     is_connected,
@@ -27,15 +29,18 @@ from chipfire import (
     path,
     poly_divide_by_x,
     poly_eval,
+    quotient_by_classes,
     random_connected_graph,
     random_tree,
     spanning_tree_count,
+    subgroup_invariants,
     tree_from_pruefer,
     verify_cone_theorem,
     verify_eigenvectors,
     verify_join_theorem,
     verify_tree_bound,
 )
+from chipfire import sandpile
 from chipfire.theorems import _restricted_char_value
 
 GOEL = from_edge_list(6, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
@@ -157,6 +162,44 @@ class TestVerifyConeTheorem:
     def test_bad_cone_size(self):
         with pytest.raises(InputError):
             verify_cone_theorem(path(3), 0)
+
+
+class TestConeTheoremSharesOneSnf:
+    """verify_cone_theorem reads the subgroup and H_n off one SNF of
+    [C | diag(d)] instead of running it once for each."""
+
+    def test_three_snfs_per_call(self, monkeypatch):
+        real = sandpile.smith_normal_form
+        shapes = []
+
+        def counted(a):
+            shapes.append((a.rows, a.cols))
+            return real(a)
+
+        monkeypatch.setattr(sandpile, "smith_normal_form", counted)
+        for g, n in ((GOEL, 3), (path(5), 1), (complete(1), 4), (FORK_TREE, 2)):
+            sandpile._reduced_snf.cache_clear()  # count the Laplacian's SNF too
+            shapes.clear()
+            verify_cone_theorem(g, n)
+            # Laplacian, [C | diag(d)], relations among the n - 1 generators
+            assert len(shapes) == 3
+            assert shapes[2] == (n - 1, n - 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(graphs(max_vertices=8, connected=True), st.integers(1, 5))
+    def test_report_equals_public_function_route(self, g, n):
+        coned = cone(g, n)
+        generators = cone_difference_divisors(g.vertex_count, n)
+        subgroup = subgroup_invariants(coned, generators)
+        quotient_h = quotient_by_classes(coned, generators)
+        report = verify_cone_theorem(g, n)
+        assert report.subgroup == subgroup
+        assert report.quotient_h == quotient_h
+        assert report.splits == groups_isomorphic(
+            critical_group(coned), direct_sum(subgroup, quotient_h)
+        )
+        assert report.order_formula_holds == (quotient_h.order == report.p_at_minus_n)
+        assert report.h_generator_count == len(quotient_h.invariant_factors)
 
 
 class TestVerifyJoinTheorem:

@@ -66,31 +66,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    remove_flag = dict(
-        type=int,
-        default=0,
-        metavar="V",
-        help="delete this vertex in the reduced Laplacian (debug; result is invariant)",
-    )
-
     p_group = sub.add_parser(
         "group", parents=[common], help="critical group of a graph file"
     )
     p_group.add_argument("file")
-    p_group.add_argument("--remove-vertex", **remove_flag)
 
     p_cone = sub.add_parser(
         "cone", parents=[common], help="critical group of the nth cone over a graph file"
     )
     p_cone.add_argument("file")
     p_cone.add_argument("n", type=int)
-    p_cone.add_argument("--remove-vertex", **remove_flag)
 
     p_join = sub.add_parser(
         "join", parents=[common], help="critical group of the join of several graph files"
     )
     p_join.add_argument("files", nargs="+")
-    p_join.add_argument("--remove-vertex", **remove_flag)
 
     p_verify = sub.add_parser(
         "verify", parents=[common], help="mechanically check one of the structure theorems"
@@ -139,8 +129,8 @@ def _decimals(values: Iterable[int]) -> list:
     return [str(x) for x in values]
 
 
-def _group_result(g: Graph, remove: int = 0) -> dict:
-    group = critical_group(g, remove)
+def _group_result(g: Graph) -> dict:
+    group = critical_group(g)
     poly = char_poly_restricted(g)
     return {
         "vertices": g.vertex_count,
@@ -196,26 +186,25 @@ def _tree_report_result(n: int, report: TreeBoundReport) -> dict:
 
 
 def _sample_graphs(args) -> Iterable[tuple]:
+    """Seeded random instances, each coned by ``--cone`` and summarised
+    before coning; a ``join`` instance is a list of factors."""
     rng = random.Random(args.seed)
     for index in range(args.sample):
         if args.which == "tree":
             g = random_tree(rng, rng.randint(2, 7))
         elif args.which == "join":
             factors = [
-                random_connected_graph(rng, rng.randint(1, 5))
+                _apply_cone(random_connected_graph(rng, rng.randint(1, 5)), args.cone)
                 for _ in range(rng.randint(2, 3))
             ]
             yield factors, f"sample {index} (seed={args.seed})"
             continue
         else:
             g = random_connected_graph(rng, rng.randint(2, 6))
-        yield g, f"sample {index} (seed={args.seed}): {_summarize(g)}"
+        yield _apply_cone(g, args.cone), f"sample {index} (seed={args.seed}): {_summarize(g)}"
 
 
 def _run_verify(args) -> tuple:
-    records: List[dict] = []
-    all_hold = True
-
     if args.sample is not None and args.files:
         raise InputError("give input files or --sample, not both")
     if args.sample is None and not args.files:
@@ -223,45 +212,34 @@ def _run_verify(args) -> tuple:
     if args.sample is not None and args.sample < 1:
         raise InputError(f"--sample COUNT must be at least 1, got {args.sample}")
 
-    if args.which == "join":
-        if args.sample is not None:
-            instances = list(_sample_graphs(args))
-        else:
-            if len(args.files) < 2:
-                raise InputError("verify join needs at least two graph files")
-            loaded = [_load(path, None) for path in args.files]
-            instances = [([g for g, _ in loaded], " + ".join(args.files))]
-        for factors, summary in instances:
-            factors = [_apply_cone(f, args.cone) for f in factors]
-            report = verify_join_theorem(factors)
-            records.append(_record("verify join", summary, _join_report_result(report)))
-            all_hold = all_hold and report.holds
-        return records, all_hold
-
     if args.sample is not None:
-        instances = list(_sample_graphs(args))
-        if args.cone is not None:
-            instances = [(cone(g, args.cone), s) for g, s in instances]
+        instances = _sample_graphs(args)
+    elif args.which == "join":
+        if len(args.files) < 2:
+            raise InputError("verify join needs at least two graph files")
+        loaded = [_load(path, None) for path in args.files]
+        instances = [([_apply_cone(g, args.cone) for g, _ in loaded], " + ".join(args.files))]
     else:
+        # every file is parsed and coned before any check runs
         instances = [_load(path, args.cone) for path in args.files]
 
+    records: List[dict] = []
+    all_hold = True
     for g, summary in instances:
-        if args.which == "cone":
+        if args.which == "join":
+            report = verify_join_theorem(g)
+            holds, result = report.holds, _join_report_result(report)
+        elif args.which == "cone":
             report = verify_cone_theorem(g, args.n)
-            records.append(_record("verify cone", summary, _cone_report_result(report)))
-            all_hold = all_hold and report.holds
+            holds, result = report.holds, _cone_report_result(report)
         elif args.which == "tree":
-            tree_report = verify_tree_bound(g, args.n)
-            records.append(
-                _record("verify tree", summary, _tree_report_result(args.n, tree_report))
-            )
-            all_hold = all_hold and tree_report.holds
+            report = verify_tree_bound(g, args.n)
+            holds, result = report.holds, _tree_report_result(args.n, report)
         else:
-            ok = verify_eigenvectors(g, args.n)
-            records.append(
-                _record("verify eigen", summary, {"cone_size": args.n, "holds": ok})
-            )
-            all_hold = all_hold and ok
+            holds = verify_eigenvectors(g, args.n)
+            result = {"cone_size": args.n, "holds": holds}
+        records.append(_record(f"verify {args.which}", summary, result))
+        all_hold = all_hold and holds
     return records, all_hold
 
 
@@ -290,25 +268,19 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "group":
-            g, summary = _load(args.file, args.cone)
-            records = [_record("group", summary, _group_result(g, args.remove_vertex))]
-            exit_code = EXIT_OK
-        elif args.command == "cone":
-            raw, summary = _load(args.file, args.cone)
-            g = cone(raw, args.n)
-            records = [_record("cone", summary, _group_result(g, args.remove_vertex))]
-            exit_code = EXIT_OK
-        elif args.command == "join":
-            loaded = [_load(path, args.cone) for path in args.files]
-            g = reduce(join, [g for g, _ in loaded])
-            records = [
-                _record("join", " + ".join(args.files), _group_result(g, args.remove_vertex))
-            ]
-            exit_code = EXIT_OK
-        else:
+        if args.command == "verify":
             records, all_hold = _run_verify(args)
             exit_code = EXIT_OK if all_hold else EXIT_VERIFY_FAILED
+        else:
+            if args.command == "join":
+                loaded = [_load(path, args.cone) for path in args.files]
+                g, summary = reduce(join, [g for g, _ in loaded]), " + ".join(args.files)
+            else:
+                g, summary = _load(args.file, args.cone)
+                if args.command == "cone":
+                    g = cone(g, args.n)
+            records = [_record(args.command, summary, _group_result(g))]
+            exit_code = EXIT_OK
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

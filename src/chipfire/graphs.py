@@ -111,13 +111,25 @@ def from_edge_list(n: int, pairs: Iterable[Edge]) -> Graph:
 MAX_COMPLETE_VERTICES = 2048
 
 
-def complete(m: int) -> Graph:
-    if m < 1:
-        raise InputError("complete graph needs at least one vertex")
+def _check_complete_size(m: int) -> None:
     if m > MAX_COMPLETE_VERTICES:
         raise SizeError(
             f"complete graph on {m} vertices exceeds the limit of {MAX_COMPLETE_VERTICES}"
         )
+
+
+def _check_join_size(k1: int, k2: int) -> None:
+    if k1 * k2 > MAX_COMPLETE_VERTICES**2:
+        raise SizeError(
+            f"join of graphs on {k1} and {k2} vertices needs {k1 * k2} cross edges, "
+            f"more than the limit of {MAX_COMPLETE_VERTICES**2}"
+        )
+
+
+def complete(m: int) -> Graph:
+    if m < 1:
+        raise InputError("complete graph needs at least one vertex")
+    _check_complete_size(m)
     return Graph(m, [(i, j) for i in range(m) for j in range(i + 1, m)])
 
 
@@ -141,11 +153,7 @@ def join(g1: Graph, g2: Graph) -> Graph:
     ``SizeError`` before any edge is built.
     """
     k1, k2 = g1.vertex_count, g2.vertex_count
-    if k1 * k2 > MAX_COMPLETE_VERTICES**2:
-        raise SizeError(
-            f"join of graphs on {k1} and {k2} vertices needs {k1 * k2} cross edges, "
-            f"more than the limit of {MAX_COMPLETE_VERTICES**2}"
-        )
+    _check_join_size(k1, k2)
     edges = list(g1.edges)
     edges += [(u + k1, v + k1) for u, v in g2.edges]
     edges += [(u, v + k1) for u in range(k1) for v in range(k2)]

@@ -1,11 +1,12 @@
 """Chip-firing groups and divisor arithmetic.
 
 The chip-firing (critical) group of a connected graph is the cokernel of the
-reduced Laplacian.  One Smith normal form U Lred V = S per graph, cached,
-presents it as Z/d_1 x ... x Z/d_s: the d_i are the nontrivial invariant
-factors, and the class of a degree-zero divisor has coordinates
-(U_i . x) mod d_i, where x is the divisor with the removed vertex dropped and
-U_i is the row of U matching d_i.  Every divisor-class question (is this
+reduced Laplacian Lred, the Laplacian with vertex 0 deleted (the group is
+the same whichever vertex is deleted).  One Smith normal form U Lred V = S per
+graph, cached, presents it as Z/d_1 x ... x Z/d_s: the d_i are the nontrivial
+invariant factors, and the class of a degree-zero divisor has coordinates
+(U_i . x) mod d_i, where x is the divisor with vertex 0 dropped and U_i is
+the row of U matching d_i.  Every divisor-class question (is this
 divisor principal, what is the order of its class, what group do some classes
 generate or leave over) is then answered in those coordinates, with at most
 two SNFs of size about s rather than of the graph's size.
@@ -147,44 +148,38 @@ class _Presentation:
     """Pic0 as Z/d_1 x ... x Z/d_s, from the SNF U Lred V = S.
 
     ``factors`` are the invariant factors d_i >= 2 of the reduced Laplacian
-    with ``remove`` deleted, and ``rows[i]`` is the matching row of U reduced
+    with vertex 0 deleted, and ``rows[i]`` is the matching row of U reduced
     mod d_i.
     """
 
-    remove: int
     factors: tuple
     rows: tuple
 
     def coordinates(self, d: Sequence[int]) -> list:
         """Coordinates (U_i . x) mod d_i of the class of a degree-zero divisor."""
-        x = [c for v, c in enumerate(d) if v != self.remove]
+        x = d[1:]
         return [sum(map(mul, row, x)) % m for row, m in zip(self.rows, self.factors)]
 
 
 @lru_cache(maxsize=256)
-def _reduced_snf(g: Graph, remove: int) -> _Presentation:
-    snf = smith_normal_form(reduced_laplacian(g, remove))
+def _reduced_snf(g: Graph) -> _Presentation:
+    snf = smith_normal_form(reduced_laplacian(g, 0))
     # Lred is nonsingular for a connected graph: no zero on the diagonal
     keep = [i for i, d in enumerate(snf.diagonal) if d > 1]
     return _Presentation(
-        remove,
         tuple(snf.diagonal[i] for i in keep),
         tuple(tuple(u % snf.diagonal[i] for u in snf.u.row(i)) for i in keep),
     )
 
 
-def critical_group(g: Graph, remove: int = 0) -> CriticalGroup:
-    """Pic0(g) as the cokernel of the reduced Laplacian.
-
-    The result does not depend on which vertex is removed; the parameter
-    exists for cross-checking.
-    """
-    return CriticalGroup(_reduced_snf(g, remove).factors)
+def critical_group(g: Graph) -> CriticalGroup:
+    """Pic0(g) as the cokernel of the reduced Laplacian with vertex 0 deleted."""
+    return CriticalGroup(_reduced_snf(g).factors)
 
 
-def spanning_tree_count(g: Graph, remove: int = 0) -> int:
+def spanning_tree_count(g: Graph) -> int:
     """Number of spanning trees, equal to the critical group order."""
-    return abs(determinant(reduced_laplacian(g, remove)))
+    return abs(determinant(reduced_laplacian(g, 0)))
 
 
 def char_poly_restricted(g: Graph) -> IntPoly:
@@ -242,13 +237,13 @@ def is_principal(g: Graph, d: Sequence[int]) -> bool:
     """Whether d lies in the image of the Laplacian, i.e. is reachable from
     the zero divisor by chip-firing moves."""
     coeffs = _check_degree_zero(g, d)
-    return not any(_reduced_snf(g, 0).coordinates(coeffs))
+    return not any(_reduced_snf(g).coordinates(coeffs))
 
 
 def class_order(g: Graph, d: Sequence[int]) -> int:
     """Order of the class of d in Pic0(g): the least m with m*d principal."""
     coeffs = _check_degree_zero(g, d)
-    pic0 = _reduced_snf(g, 0)
+    pic0 = _reduced_snf(g)
     return math.lcm(
         *(m // math.gcd(m, c) for m, c in zip(pic0.factors, pic0.coordinates(coeffs)))
     )
@@ -262,7 +257,7 @@ def _generated_snf(g: Graph, generators: Iterable[Sequence[int]]) -> tuple:
     coordinates of its kernel are the relations among the generators.
     """
     gens = [_check_degree_zero(g, d) for d in generators]
-    pic0 = _reduced_snf(g, 0)
+    pic0 = _reduced_snf(g)
     columns = [pic0.coordinates(d) for d in gens]
     s, r = len(pic0.factors), len(gens)
     entries = [

@@ -13,10 +13,11 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import reduce
-from typing import List, NamedTuple, Sequence
+from typing import Iterator, List, NamedTuple, Sequence
 
 from .errors import InputError, NotConnectedError, SizeError
 from .graphs import Graph, cone, is_connected, is_tree, join, leaves
+from .graphs import _check_complete_size, _check_join_size
 from .intlinalg import IntMatrix, determinant
 from .sandpile import (
     CriticalGroup,
@@ -91,14 +92,15 @@ class TreeBoundReport(NamedTuple):
 def cone_difference_divisors(k: int, n: int) -> List[tuple]:
     """The n-1 degree-zero divisors on cone(g, n) of the form
     (cone vertex i) - (first cone vertex)."""
-    total = k + n
-    divisors = []
+    return list(_cone_differences(k, n))
+
+
+def _cone_differences(k: int, n: int) -> Iterator[tuple]:
     for i in range(1, n):
-        d = [0] * total
+        d = [0] * (k + n)
         d[k + i] = 1
         d[k] = -1
-        divisors.append(tuple(d))
-    return divisors
+        yield tuple(d)
 
 
 def verify_cone_theorem(g: Graph, n: int) -> ConeSequenceReport:
@@ -174,26 +176,45 @@ def verify_tree_bound(g: Graph, n: int) -> TreeBoundReport:
     return TreeBoundReport(leaf_count, h_generators, h_generators <= leaf_count - 1)
 
 
+def _cone_laplacian_times(g: Graph, n: int, x: Sequence[int]) -> tuple:
+    """L(cone(g, n)) x from g's edges and the cone structure, in
+    O(|E| + k + n) time and memory: neither K_n nor the Laplacian is built.
+
+    Base row v is (deg v + n) x_v - (sum of x over g-neighbours of v)
+    - (sum of x over the cone); cone row c is (k + n) x_c - (sum of all x).
+    """
+    k = g.vertex_count
+    cone_sum = sum(x[k:])
+    total = sum(x[:k]) + cone_sum
+    y = [n * x[v] - cone_sum for v in range(k)]
+    for u, v in g.edges:
+        y[u] += x[u] - x[v]
+        y[v] += x[v] - x[u]
+    y += [(k + n) * c - total for c in x[k:]]
+    return tuple(y)
+
+
 def verify_eigenvectors(g: Graph, n: int) -> bool:
     """Exact eigenvector identities on the cone Laplacian.
 
     Each difference of two cone vertices, and the balanced vector
     n*(sum of base vertices) - k*(sum of cone vertices), must be an integer
-    eigenvector of L(cone(g, n)) with eigenvalue n + k.
+    eigenvector of L(cone(g, n)) with eigenvalue n + k.  The cone Laplacian
+    is applied implicitly to one vector at a time, so memory stays linear in
+    the size of the cone; cones that ``cone`` would refuse raise the same
+    ``SizeError``.
     """
     if n < 1:
         raise InputError("cone size must be at least 1")
     k = g.vertex_count
-    lap = laplacian(cone(g, n))
+    _check_complete_size(n)
+    _check_join_size(k, n)
     eigenvalue = n + k
-    first = lap.column(k)
-    for i, d in enumerate(cone_difference_divisors(k, n), start=k + 1):
-        # d = e_i - e_k, so L d is column i of L minus column k
-        image = tuple(x - y for x, y in zip(lap.column(i), first))
-        if image != tuple(eigenvalue * c for c in d):
-            return False
     balanced = tuple([n] * k + [-k] * n)
-    return lap.mul_vector(balanced) == tuple(eigenvalue * c for c in balanced)
+    for d in itertools.chain(_cone_differences(k, n), [balanced]):
+        if _cone_laplacian_times(g, n, d) != tuple(eigenvalue * c for c in d):
+            return False
+    return True
 
 
 class _UnionFind:

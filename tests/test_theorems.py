@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +42,7 @@ from chipfire import (
     verify_tree_bound,
 )
 from chipfire import sandpile
-from chipfire.theorems import _restricted_char_value
+from chipfire.theorems import _cone_laplacian_times, _restricted_char_value
 
 GOEL = from_edge_list(6, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
 FORK_TREE = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
@@ -300,6 +301,23 @@ class TestVerifyEigenvectors:
     @given(graphs(max_vertices=10), st.integers(1, 8))
     def test_random_graphs(self, g, n):
         assert verify_eigenvectors(g, n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_vertices=8), st.integers(1, 6), st.data())
+    def test_implicit_product_equals_explicit_laplacian(self, g, n, data):
+        size = g.vertex_count + n
+        x = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=size, max_size=size))
+        assert _cone_laplacian_times(g, n, x) == laplacian(cone(g, n)).mul_vector(x)
+
+    def test_large_cone_memory_is_linear(self):
+        # the explicit cone Laplacian at n = 1024 holds about a million entries
+        tracemalloc.start()
+        try:
+            assert verify_eigenvectors(path(5), 1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
 
 class TestBruteForceSpanningTrees:

@@ -6,117 +6,15 @@ that mechanically checks the structure of Pic0 for cones and joins on
 arbitrary inputs.
 """
 
-from .errors import ChipfireError, InputError, NotConnectedError, SizeError
-from .graphs import (
-    Graph,
-    complete,
-    cone,
-    cycle,
-    format_edge_list,
-    from_edge_list,
-    has_conformity_property,
-    is_connected,
-    is_tree,
-    join,
-    leaves,
-    parse_edge_list,
-    path,
-    read_edge_list,
-)
-from .intlinalg import (
-    IntMatrix,
-    IntPoly,
-    SnfResult,
-    char_poly,
-    determinant,
-    poly_divide_by_x,
-    poly_eval,
-    smith_normal_form,
-)
-from .sandpile import (
-    CriticalGroup,
-    char_poly_restricted,
-    class_order,
-    critical_group,
-    direct_sum,
-    divisor_degree,
-    fire_vertex,
-    groups_isomorphic,
-    is_principal,
-    laplacian,
-    quotient_by_classes,
-    reduced_laplacian,
-    spanning_tree_count,
-    subgroup_invariants,
-)
-from .theorems import (
-    ConeSequenceReport,
-    JoinOrderReport,
-    TreeBoundReport,
-    brute_force_spanning_trees,
-    cone_difference_divisors,
-    random_connected_graph,
-    random_tree,
-    tree_from_pruefer,
-    verify_cone_theorem,
-    verify_eigenvectors,
-    verify_join_theorem,
-    verify_tree_bound,
-)
+from . import errors, graphs, intlinalg, sandpile, theorems
+from .errors import *
+from .graphs import *
+from .intlinalg import *
+from .sandpile import *
+from .theorems import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChipfireError",
-    "InputError",
-    "NotConnectedError",
-    "SizeError",
-    "Graph",
-    "complete",
-    "cone",
-    "cycle",
-    "format_edge_list",
-    "from_edge_list",
-    "has_conformity_property",
-    "is_connected",
-    "is_tree",
-    "join",
-    "leaves",
-    "parse_edge_list",
-    "path",
-    "read_edge_list",
-    "IntMatrix",
-    "IntPoly",
-    "SnfResult",
-    "char_poly",
-    "determinant",
-    "poly_divide_by_x",
-    "poly_eval",
-    "smith_normal_form",
-    "CriticalGroup",
-    "char_poly_restricted",
-    "class_order",
-    "critical_group",
-    "direct_sum",
-    "divisor_degree",
-    "fire_vertex",
-    "groups_isomorphic",
-    "is_principal",
-    "laplacian",
-    "quotient_by_classes",
-    "reduced_laplacian",
-    "spanning_tree_count",
-    "subgroup_invariants",
-    "ConeSequenceReport",
-    "JoinOrderReport",
-    "TreeBoundReport",
-    "brute_force_spanning_trees",
-    "cone_difference_divisors",
-    "random_connected_graph",
-    "random_tree",
-    "tree_from_pruefer",
-    "verify_cone_theorem",
-    "verify_eigenvectors",
-    "verify_join_theorem",
-    "verify_tree_bound",
-]
+__all__ = (
+    errors.__all__ + graphs.__all__ + intlinalg.__all__ + sandpile.__all__ + theorems.__all__
+)

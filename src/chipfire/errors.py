@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ChipfireError", "InputError", "NotConnectedError", "SizeError"]
+
 
 class ChipfireError(Exception):
     """Base class for all errors raised by chipfire."""
@@ -14,4 +16,5 @@ class NotConnectedError(ChipfireError):
 
 
 class SizeError(ChipfireError):
-    """Input exceeds the admissible size of a brute-force operation."""
+    """Input exceeds a size limit: the vertex budget of a graph, the cap on
+    K_m and on the n of a cone, or the reach of a brute-force oracle."""

@@ -4,10 +4,16 @@ Vertices are the integers 0..vertex_count-1 and edges are canonically stored
 as (u, v) pairs with u < v, so two equal graphs compare equal.  Graphs are
 immutable; connectedness is checked by the group-level operations, not here,
 because joins of disconnected graphs are legitimate inputs.
+
+Every graph has at most MAX_VERTICES vertices, checked by ``Graph`` before it
+reads an edge, so no graph, join or cone above that budget allocates
+anything.  K_m is further capped at MAX_COMPLETE_VERTICES, and so is the n of
+a cone.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Tuple
@@ -33,10 +39,23 @@ __all__ = [
 
 Edge = Tuple[int, int]
 
+# K_m has m(m-1)/2 edges, all built eagerly: K_2048 already holds 2.1M edges
+# (about 0.45 GB of Python objects), and a mistyped cone size such as 10**20
+# would exhaust memory instead of failing.  Every graph is held to twice that
+# many vertices, the largest cone (k = n = 2048) the K_m cap allows, so a
+# header such as "2097152 0" or a join with millions of cross edges fails
+# before anything is allocated.
+MAX_COMPLETE_VERTICES = 2048
+MAX_VERTICES = 2 * MAX_COMPLETE_VERTICES
+
 
 @dataclass(frozen=True)
 class Graph:
-    """A simple graph on vertices 0..vertex_count-1."""
+    """A simple graph on vertices 0..vertex_count-1.
+
+    More than MAX_VERTICES vertices raise ``SizeError`` before any edge is
+    read, so ``edges`` may be a lazy iterable of any length.
+    """
 
     vertex_count: int
     edges: frozenset
@@ -44,6 +63,10 @@ class Graph:
     def __init__(self, vertex_count: int, edges: Iterable[Edge] = ()):
         if not isinstance(vertex_count, int) or vertex_count < 1:
             raise InputError(f"vertex count must be a positive integer, got {vertex_count!r}")
+        if vertex_count > MAX_VERTICES:
+            raise SizeError(
+                f"graph on {vertex_count} vertices exceeds the limit of {MAX_VERTICES}"
+            )
         canonical = set()
         for pair in edges:
             try:
@@ -104,13 +127,6 @@ def from_edge_list(n: int, pairs: Iterable[Edge]) -> Graph:
     return Graph(n, pairs)
 
 
-# K_m has m(m-1)/2 edges, all built eagerly: K_2048 already holds 2.1M edges
-# (about 0.45 GB of Python objects), and a mistyped cone size such as 10**20
-# would exhaust memory instead of failing.  A join builds k1 * k2 cross edges
-# the same way, so it is held to the cross edges of K_2048 joined with itself.
-MAX_COMPLETE_VERTICES = 2048
-
-
 def _check_complete_size(m: int) -> None:
     if m > MAX_COMPLETE_VERTICES:
         raise SizeError(
@@ -118,11 +134,13 @@ def _check_complete_size(m: int) -> None:
         )
 
 
-def _check_join_size(k1: int, k2: int) -> None:
-    if k1 * k2 > MAX_COMPLETE_VERTICES**2:
+def _check_cone_size(k: int, n: int) -> None:
+    """The size rules of ``cone(g, n)`` for |g| = k, checked before K_n exists."""
+    _check_complete_size(n)
+    if k + n > MAX_VERTICES:
         raise SizeError(
-            f"join of graphs on {k1} and {k2} vertices needs {k1 * k2} cross edges, "
-            f"more than the limit of {MAX_COMPLETE_VERTICES**2}"
+            f"cone of a graph on {k} vertices with {n} cone vertices has {k + n} "
+            f"vertices, more than the limit of {MAX_VERTICES}"
         )
 
 
@@ -149,32 +167,29 @@ def join(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union plus every edge between the two vertex sets.
 
     Vertices of g1 keep their indices; vertices of g2 are shifted up by
-    g1.vertex_count.  More than MAX_COMPLETE_VERTICES**2 cross edges raise
-    ``SizeError`` before any edge is built.
+    g1.vertex_count.  The edges reach ``Graph`` lazily, so a join with more
+    than MAX_VERTICES vertices raises ``SizeError`` before any edge is built.
     """
     k1, k2 = g1.vertex_count, g2.vertex_count
-    _check_join_size(k1, k2)
-    edges = list(g1.edges)
-    edges += [(u + k1, v + k1) for u, v in g2.edges]
-    edges += [(u, v + k1) for u in range(k1) for v in range(k2)]
-    return Graph(k1 + k2, edges)
+    shifted = ((u + k1, v + k1) for u, v in g2.edges)
+    cross = ((u, v + k1) for u in range(k1) for v in range(k2))
+    return Graph(k1 + k2, itertools.chain(g1.edges, shifted, cross))
 
 
 def cone(g: Graph, n: int) -> Graph:
     """The nth cone over g: the join of g with the complete graph K_n.
 
-    Base vertices keep indices 0..k-1 and the n cone vertices follow.
+    Base vertices keep indices 0..k-1 and the n cone vertices follow.  An n
+    above MAX_COMPLETE_VERTICES, or a cone above MAX_VERTICES, raises
+    ``SizeError`` before K_n is built.
     """
     if n < 1:
         raise InputError("cone size must be at least 1")
+    _check_cone_size(g.vertex_count, n)
     return join(g, complete(n))
 
 
 def is_connected(g: Graph) -> bool:
-    # too few edges to span: answered before the adjacency sets are built,
-    # so a header such as "100000000000 0" allocates nothing
-    if g.edge_count < g.vertex_count - 1:
-        return False
     seen = {0}
     stack = [0]
     while stack:

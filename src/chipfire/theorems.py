@@ -17,7 +17,7 @@ from typing import Iterator, List, NamedTuple, Sequence
 
 from .errors import InputError, NotConnectedError, SizeError
 from .graphs import Graph, cone, is_connected, is_tree, join, leaves
-from .graphs import _check_complete_size, _check_join_size
+from .graphs import _check_cone_size
 from .intlinalg import IntMatrix, determinant
 from .sandpile import (
     CriticalGroup,
@@ -201,14 +201,13 @@ def verify_eigenvectors(g: Graph, n: int) -> bool:
     n*(sum of base vertices) - k*(sum of cone vertices), must be an integer
     eigenvector of L(cone(g, n)) with eigenvalue n + k.  The cone Laplacian
     is applied implicitly to one vector at a time, so memory stays linear in
-    the size of the cone; cones that ``cone`` would refuse raise the same
-    ``SizeError``.
+    the size of the cone.  The size rules are ``cone``'s own: an n above
+    MAX_COMPLETE_VERTICES or k + n above MAX_VERTICES raises ``SizeError``.
     """
     if n < 1:
         raise InputError("cone size must be at least 1")
     k = g.vertex_count
-    _check_complete_size(n)
-    _check_join_size(k, n)
+    _check_cone_size(k, n)
     eigenvalue = n + k
     balanced = tuple([n] * k + [-k] * n)
     for d in itertools.chain(_cone_differences(k, n), [balanced]):

@@ -252,6 +252,48 @@ class TestVerifyCommand:
         assert records[0]["result"]["holds"] is False
 
 
+def _one_more(real):
+    return lambda *args: real(*args) + 1
+
+
+def _trivial_subgroup(real):
+    return lambda g, generators: (CriticalGroup(()), real(g, generators)[1])
+
+
+def _too_many_generators(real):
+    return lambda g, classes: CriticalGroup((2,) * g.vertex_count)
+
+
+def _first_entry_one_more(real):
+    def wrong(g, n, x):
+        y = real(g, n, x)
+        return (y[0] + 1,) + y[1:]
+
+    return wrong
+
+
+class TestFailingVerdicts:
+    """A wrong side inside the real verifier turns into exit code 1."""
+
+    @pytest.mark.parametrize(
+        "which, attr, wrong",
+        [
+            ("cone", "_subgroup_and_quotient", _trivial_subgroup),
+            ("tree", "quotient_by_classes", _too_many_generators),
+            ("join", "_restricted_char_value", _one_more),
+            ("eigen", "_cone_laplacian_times", _first_entry_one_more),
+        ],
+    )
+    def test_wrong_side_exits_1(self, graph_file, monkeypatch, which, attr, wrong):
+        import chipfire.theorems as theorems
+
+        monkeypatch.setattr(theorems, attr, wrong(getattr(theorems, attr)))
+        p3 = graph_file("p3.txt", path(3))
+        code, records = run_json(["verify", which, p3, p3, "-n", "2"])
+        assert code == 1
+        assert records and all(r["result"]["holds"] is False for r in records)
+
+
 class TestOutputFormats:
     def test_table_format(self, graph_file):
         k4 = graph_file("k4.txt", complete(4))
@@ -371,6 +413,43 @@ class TestRegressions:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_over_budget_inputs_are_size_errors_without_allocating(
+        self, tmp_path, graph_file, capsys
+    ):
+        # each of these ran out of memory before graphs had a vertex budget
+        p2 = graph_file("p2.txt", path(2))
+        big, bigger, long_path = (tmp_path / name for name in ("big", "bigger", "path"))
+        big.write_text("2097152 0\n")
+        bigger.write_text("4194304 0\n")
+        long_path.write_text("4097 4096\n" + "".join(f"{i} {i + 1}\n" for i in range(4096)))
+        for cases, limit in (
+            (
+                [
+                    ["verify", "join", p2, str(big)],
+                    ["join", p2, str(big)],
+                    ["cone", str(big), "2"],
+                    ["group", str(bigger), "--cone", "1"],
+                    ["verify", "eigen", str(bigger)],
+                ],
+                1_000_000,
+            ),
+            ([["group", str(long_path)]], 5_000_000),
+        ):
+            tracemalloc.start()
+            try:
+                for argv in cases:
+                    assert run(argv) == (3, "")
+                    assert len(capsys.readouterr().err.splitlines()) == 1
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < limit
+
+    def test_cone_size_below_one_rejected(self, graph_file):
+        p3 = graph_file("p3.txt", path(3))
+        for which in ("cone", "tree", "eigen"):
+            assert run(["verify", which, p3, "-n", "0"]) == (2, "")
 
     def test_non_utf8_file_is_an_input_error(self, tmp_path, graph_file, capsys):
         bad = tmp_path / "bad.txt"

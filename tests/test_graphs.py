@@ -23,8 +23,9 @@ from chipfire import (
     leaves,
     parse_edge_list,
     path,
+    verify_eigenvectors,
 )
-from chipfire.graphs import MAX_COMPLETE_VERTICES
+from chipfire.graphs import MAX_COMPLETE_VERTICES, MAX_VERTICES
 
 GOEL_EDGES = [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)]
 FORK_TREE_EDGES = [(0, 1), (1, 2), (2, 3), (2, 4)]
@@ -57,6 +58,11 @@ class TestConstruction:
     def test_malformed_edge_names_the_edge(self, edge):
         # tuple unpacking alone raises a bare ValueError or TypeError here
         with pytest.raises(InputError, match=re.escape(f"edge {edge!r}")):
+            Graph(3, [edge])
+
+    @pytest.mark.parametrize("edge", [(0, 1.0), ("0", 1)])
+    def test_non_integer_endpoint_rejected(self, edge):
+        with pytest.raises(InputError, match="integers"):
             Graph(3, [edge])
 
     def test_empty_graph_rejected(self):
@@ -101,6 +107,41 @@ class TestConstruction:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_vertex_budget(self):
+        assert MAX_VERTICES == 2 * MAX_COMPLETE_VERTICES
+        assert Graph(MAX_VERTICES).vertex_count == MAX_VERTICES
+        # the budget is checked before the first edge is read
+        unread = (pytest.fail("an edge was read") for _ in range(1))
+        with pytest.raises(SizeError):
+            Graph(MAX_VERTICES + 1, unread)
+
+    def test_over_budget_rejected_before_allocating(self):
+        tracemalloc.start()
+        try:
+            for build in (
+                lambda: Graph(MAX_VERTICES + 1),
+                lambda: join(Graph(MAX_VERTICES - 1), path(2)),
+                lambda: cone(Graph(4000), 2000),
+                lambda: verify_eigenvectors(Graph(MAX_VERTICES - 1), 2),
+            ):
+                with pytest.raises(SizeError):
+                    build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 2 * MAX_VERTICES), st.data())
+    def test_join_refuses_every_size_the_cross_edge_cap_refused(self, k1, data):
+        # the budget k1 + k2 <= 2 * MAX_COMPLETE_VERTICES implies the old cap
+        # k1 * k2 <= MAX_COMPLETE_VERTICES**2; only refused sizes are drawn
+        least = MAX_COMPLETE_VERTICES**2 // k1 + 1
+        k2 = data.draw(st.integers(least, least + MAX_VERTICES))
+        for a, b in ((k1, k2), (k2, k1)):
+            with pytest.raises(SizeError):
+                join(Graph(a), Graph(b))
+
     def test_path_and_cycle(self):
         assert path(5).edge_count == 4
         assert path(1) == complete(1)
@@ -108,6 +149,8 @@ class TestConstruction:
         assert cycle(6).edge_count == 6
         with pytest.raises(InputError):
             cycle(2)
+        with pytest.raises(InputError):
+            path(0)
 
     def test_join_of_singletons(self):
         assert join(complete(1), complete(1)) == complete(2)

@@ -60,6 +60,8 @@ class TestIntMatrix:
     def test_entry_count_validation(self):
         with pytest.raises(InputError):
             IntMatrix(2, 2, [1, 2, 3])
+        with pytest.raises(InputError):
+            IntMatrix(-1, 0, [])
 
     def test_rejects_floats(self):
         with pytest.raises(InputError):
@@ -84,6 +86,8 @@ class TestIntMatrix:
     def test_mul_vector(self):
         a = IntMatrix.from_rows([[1, -1], [2, 0]])
         assert a.mul_vector([3, 4]) == (-1, 6)
+        with pytest.raises(InputError):
+            a.mul_vector([3, 4, 5])
 
     def test_transpose(self):
         a = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])

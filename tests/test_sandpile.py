@@ -349,6 +349,10 @@ class TestFireVertex:
         with pytest.raises(InputError):
             fire_vertex(path(2), [0, 0, 0], 0, "lend")
 
+    def test_non_integer_coefficient(self):
+        with pytest.raises(InputError, match="not an integer"):
+            fire_vertex(path(2), [0, 0.5], 0, "lend")
+
 
 class TestIsPrincipal:
     def test_zero_divisor(self):

@@ -41,7 +41,7 @@ from chipfire import (
     verify_join_theorem,
     verify_tree_bound,
 )
-from chipfire import sandpile
+from chipfire import sandpile, theorems
 from chipfire.theorems import _cone_laplacian_times, _restricted_char_value
 
 GOEL = from_edge_list(6, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
@@ -320,6 +320,50 @@ class TestVerifyEigenvectors:
         assert peak < 5 * 2**20
 
 
+class TestVerdictsCanFail:
+    """Each verdict is computed, not assumed: one wrong side injected into
+    the verifier turns it False."""
+
+    def test_cone_order_formula(self, monkeypatch):
+        real = _restricted_char_value
+        monkeypatch.setattr(theorems, "_restricted_char_value", lambda g, x: real(g, x) + 1)
+        report = verify_cone_theorem(path(3), 2)
+        assert report.subgroup_is_expected
+        assert not report.order_formula_holds and not report.holds
+
+    def test_cone_subgroup(self, monkeypatch):
+        real = sandpile._subgroup_and_quotient
+        monkeypatch.setattr(
+            theorems,
+            "_subgroup_and_quotient",
+            lambda g, generators: (CriticalGroup(()), real(g, generators)[1]),
+        )
+        report = verify_cone_theorem(path(3), 2)
+        assert report.order_formula_holds
+        assert not report.subgroup_is_expected and not report.holds
+
+    def test_join_order_formula(self, monkeypatch):
+        real = _restricted_char_value
+        monkeypatch.setattr(theorems, "_restricted_char_value", lambda g, x: real(g, x) + 1)
+        assert not verify_join_theorem([path(2), path(3)]).holds
+
+    def test_tree_bound(self, monkeypatch):
+        monkeypatch.setattr(
+            theorems,
+            "quotient_by_classes",
+            lambda g, classes: CriticalGroup((2,) * g.vertex_count),
+        )
+        assert not verify_tree_bound(FORK_TREE, 2).holds
+
+    def test_eigenvectors(self, monkeypatch):
+        def wrong(g, n, x):
+            y = _cone_laplacian_times(g, n, x)
+            return (y[0] + 1,) + y[1:]
+
+        monkeypatch.setattr(theorems, "_cone_laplacian_times", wrong)
+        assert not verify_eigenvectors(path(3), 2)
+
+
 class TestBruteForceSpanningTrees:
     def test_complete_four(self):
         assert brute_force_spanning_trees(complete(4)) == 16
@@ -369,6 +413,19 @@ class TestRandomGenerators:
         with pytest.raises(InputError, match=r"2 vertices with edge probability 1e-12"):
             random_connected_graph(random.Random(1), 2, 1e-12)
 
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng: random_connected_graph(rng, 0),
+            lambda rng: random_connected_graph(rng, 3, -0.1),
+            lambda rng: random_connected_graph(rng, 3, 1.5),
+            lambda rng: random_tree(rng, 0),
+        ],
+    )
+    def test_out_of_contract_arguments_rejected(self, draw):
+        with pytest.raises(InputError):
+            draw(random.Random(1))
+
     def test_determinism(self):
         assert random_tree(random.Random(5), 8) == random_tree(random.Random(5), 8)
         assert random_connected_graph(random.Random(5), 6) == random_connected_graph(
@@ -388,3 +445,6 @@ class TestRandomGenerators:
         assert tree_from_pruefer((), 2) == path(2)
         with pytest.raises(InputError):
             tree_from_pruefer((0,), 2)
+        for sequence, n in (((), 0), ((0,), 1), ((3,), 3)):
+            with pytest.raises(InputError):
+                tree_from_pruefer(sequence, n)

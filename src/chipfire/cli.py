@@ -9,7 +9,8 @@ consumers that read JSON numbers as doubles never truncate it; vertex, edge
 and generator counts stay JSON ints.
 
 Exit codes: 0 success / all checks hold, 1 a verification check failed,
-2 input error, 3 precondition error (for example a disconnected graph).
+2 input error, 3 precondition error (for example a disconnected graph, or
+running out of memory).
 """
 
 from __future__ import annotations
@@ -286,6 +287,9 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         return EXIT_INPUT_ERROR
     except (NotConnectedError, SizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_PRECONDITION
     _emit(records, args.format, out)
     return exit_code

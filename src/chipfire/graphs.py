@@ -270,7 +270,7 @@ def parse_edge_list(text: str) -> Graph:
 
 def read_edge_list(path: str) -> Graph:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None

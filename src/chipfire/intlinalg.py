@@ -40,10 +40,13 @@ def _check_int(value) -> int:
     return value
 
 
+@dataclass(frozen=True, slots=True)
 class IntMatrix:
     """Dense integer matrix, immutable after construction."""
 
-    __slots__ = ("rows", "cols", "_data")
+    rows: int
+    cols: int
+    _data: tuple
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
         entries = tuple(_check_int(e) for e in entries)
@@ -58,9 +61,6 @@ class IntMatrix:
         object.__setattr__(
             self, "_data", tuple(entries[i * cols : (i + 1) * cols] for i in range(rows))
         )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -134,34 +134,21 @@ class IntMatrix:
             raise InputError(f"vector length {len(vec)} != column count {self.cols}")
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self._data)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IntMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._data == other._data
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self._data))
-
     def __repr__(self):
         return f"IntMatrix.from_rows({[list(r) for r in self._data]})"
 
 
+@dataclass(frozen=True, slots=True)
 class IntPoly:
     """Integer polynomial stored as ascending coefficients, no trailing zeros."""
 
-    __slots__ = ("coefficients",)
+    coefficients: tuple
 
     def __init__(self, coefficients: Iterable[int] = ()):
         coeffs = [_check_int(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntPoly is immutable")
 
     @property
     def degree(self) -> int:
@@ -171,12 +158,6 @@ class IntPoly:
     @property
     def is_zero(self) -> bool:
         return not self.coefficients
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntPoly) and self.coefficients == other.coefficients
-
-    def __hash__(self):
-        return hash(self.coefficients)
 
     def __repr__(self):
         return f"IntPoly({list(self.coefficients)})"

@@ -287,8 +287,6 @@ def random_tree(rng: random.Random, vertex_count: int) -> Graph:
     """Uniform random labeled tree via a random Pruefer sequence."""
     if vertex_count < 1:
         raise InputError("tree needs at least one vertex")
-    if vertex_count <= 2:
-        return tree_from_pruefer((), vertex_count)
     sequence = [rng.randrange(vertex_count) for _ in range(vertex_count - 2)]
     return tree_from_pruefer(sequence, vertex_count)
 

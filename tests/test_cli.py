@@ -24,6 +24,7 @@ from chipfire import (
     smith_normal_form,
     spanning_tree_count,
 )
+from chipfire import cli
 from chipfire.cli import main
 
 GOEL = from_edge_list(6, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
@@ -84,7 +85,7 @@ class TestGroupCommand:
         assert code == 0
         assert records[0]["result"]["invariant_factors"] == ["55"]
 
-    def test_remove_vertex_flag_is_invisible(self, graph_file):
+    def test_group_does_not_depend_on_the_deleted_vertex(self, graph_file):
         # the reported group is the cokernel of the reduced Laplacian with any
         # vertex deleted, not just the one the library deletes
         goel = graph_file("goel.txt", GOEL)
@@ -382,7 +383,7 @@ class TestRegressions:
         ):
             assert run(argv) == (3, "")
 
-    def test_huge_edgeless_header_is_disconnected_without_allocating(self, tmp_path):
+    def test_huge_edgeless_header_is_over_budget_without_allocating(self, tmp_path):
         huge = tmp_path / "huge.txt"
         huge.write_text("100000000000 0\n")
         tracemalloc.start()
@@ -458,6 +459,41 @@ class TestRegressions:
         for argv in (["group", str(bad)], ["verify", "join", a, str(bad)]):
             assert run(argv) == (2, "")
             assert str(bad) in capsys.readouterr().err
+
+    def test_byte_order_mark_is_ignored(self, tmp_path, graph_file):
+        p5 = graph_file("p5.txt", path(5))
+        with_bom = tmp_path / "bom.txt"
+        with_bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "p5.txt").read_bytes())
+        bom = str(with_bom)
+        for plain_argv, bom_argv in (
+            (["group", p5], ["group", bom]),
+            (["verify", "join", p5, p5], ["verify", "join", bom, p5]),
+        ):
+            code, records = run_json(bom_argv)
+            assert code == 0
+            for record in records:
+                record["input_summary"] = record["input_summary"].replace(bom, p5)
+            assert (code, records) == run_json(plain_argv)
+
+    @pytest.mark.parametrize(
+        "target, argv",
+        [
+            ("critical_group", ["group", "{}"]),
+            ("verify_cone_theorem", ["verify", "cone", "{}", "-n", "1"]),
+        ],
+    )
+    def test_out_of_memory_is_a_precondition_error(
+        self, target, argv, graph_file, monkeypatch, capsys
+    ):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, target, exhausted)
+        p5 = graph_file("p5.txt", path(5))
+        assert run([arg.format(p5) for arg in argv]) == (3, "")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory\n"
 
 
 JUNK_TOKENS = st.sampled_from(["x", "1.5", "#", "--", "0x1", "-3", "15"])

@@ -13,6 +13,7 @@ a cone.
 
 from __future__ import annotations
 
+import codecs
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,7 +23,6 @@ from .errors import InputError, SizeError
 
 __all__ = [
     "Graph",
-    "from_edge_list",
     "complete",
     "path",
     "cycle",
@@ -31,7 +31,6 @@ __all__ = [
     "is_connected",
     "leaves",
     "is_tree",
-    "has_conformity_property",
     "parse_edge_list",
     "read_edge_list",
     "format_edge_list",
@@ -51,7 +50,7 @@ MAX_VERTICES = 2 * MAX_COMPLETE_VERTICES
 
 @dataclass(frozen=True)
 class Graph:
-    """A simple graph on vertices 0..vertex_count-1.
+    """A simple graph on vertices 0..vertex_count-1; duplicate edges are merged.
 
     More than MAX_VERTICES vertices raise ``SizeError`` before any edge is
     read, so ``edges`` may be a lazy iterable of any length.
@@ -120,11 +119,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph({self.vertex_count}, {self.edge_list()})"
-
-
-def from_edge_list(n: int, pairs: Iterable[Edge]) -> Graph:
-    """Build a graph on n vertices; duplicate edges are silently merged."""
-    return Graph(n, pairs)
 
 
 def _check_complete_size(m: int) -> None:
@@ -210,27 +204,6 @@ def is_tree(g: Graph) -> bool:
     return g.edge_count == g.vertex_count - 1 and is_connected(g)
 
 
-def has_conformity_property(g: Graph, s: Iterable[int]) -> bool:
-    """True iff s induces a complete or edgeless subgraph and all members of
-    s have identical neighborhoods outside s."""
-    members = sorted(s)
-    if not members:
-        raise InputError("conformity set must be nonempty")
-    if len(set(members)) != len(members):
-        raise InputError("conformity set has duplicate vertices")
-    for v in members:
-        g._check_vertex(v)
-    member_set = set(members)
-    inside_edges = sum(
-        1 for i, u in enumerate(members) for v in members[i + 1 :] if g.has_edge(u, v)
-    )
-    m = len(members)
-    if inside_edges not in (0, m * (m - 1) // 2):
-        return False
-    outside = [g.neighbors(v) - member_set for v in members]
-    return all(nbhd == outside[0] for nbhd in outside[1:])
-
-
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format.
 
@@ -265,15 +238,19 @@ def parse_edge_list(text: str) -> Graph:
             pairs.append((int(tokens[0]), int(tokens[1])))
         except ValueError:
             raise InputError(f"line {lineno}: edge endpoints must be integers") from None
-    return from_edge_list(n, pairs)
+    return Graph(n, pairs)
 
 
 def read_edge_list(path: str) -> Graph:
+    """Read a file as strict UTF-8 after one leading BOM; offsets count the BOM."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    bom = codecs.BOM_UTF8 if data.startswith(codecs.BOM_UTF8) else b""
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            text = fh.read()
+        text = data[len(bom) :].decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        at = exc.start + len(bom)
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {at})") from None
     return parse_edge_list(text)
 
 

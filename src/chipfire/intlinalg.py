@@ -135,6 +135,8 @@ class IntMatrix:
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self._data)
 
     def __repr__(self):
+        if not self.rows:  # from_rows([]) would lose the column count
+            return f"IntMatrix(0, {self.cols}, [])"
         return f"IntMatrix.from_rows({[list(r) for r in self._data]})"
 
 

@@ -42,12 +42,10 @@ __all__ = [
     "spanning_tree_count",
     "char_poly_restricted",
     "fire_vertex",
-    "divisor_degree",
     "is_principal",
     "class_order",
     "quotient_by_classes",
     "subgroup_invariants",
-    "groups_isomorphic",
     "direct_sum",
 ]
 
@@ -193,10 +191,6 @@ def char_poly_restricted(g: Graph) -> IntPoly:
     return poly_divide_by_x(char_poly(laplacian(g)))
 
 
-def divisor_degree(d: Sequence[int]) -> int:
-    return sum(d)
-
-
 def _check_divisor(g: Graph, d: Sequence[int]) -> tuple:
     coeffs = tuple(d)
     if len(coeffs) != g.vertex_count:
@@ -300,10 +294,6 @@ def _subgroup_and_quotient(g: Graph, generators: Iterable[Sequence[int]]) -> tup
     """(subgroup_invariants, quotient_by_classes) from one SNF of [C | diag(d)]."""
     r, snf = _generated_snf(g, generators)
     return _subgroup_from_snf(r, snf), CriticalGroup.from_diagonal(snf.diagonal)
-
-
-def groups_isomorphic(a: CriticalGroup, b: CriticalGroup) -> bool:
-    return a.invariant_factors == b.invariant_factors
 
 
 def direct_sum(a: CriticalGroup, b: CriticalGroup) -> CriticalGroup:

@@ -4,6 +4,7 @@ Each function here is a slower, independent route to a result that the
 library computes another way; tests assert that both agree.
 """
 
+import itertools
 import math
 from typing import Iterable, Sequence
 
@@ -13,6 +14,7 @@ from chipfire import (
     InputError,
     IntMatrix,
     IntPoly,
+    SizeError,
     determinant,
     laplacian,
     reduced_laplacian,
@@ -351,3 +353,64 @@ def subgroup_invariants(g: Graph, generators: Iterable[Sequence[int]]) -> Critic
     if any(d == 0 for d in relations.diagonal) or len(relations.diagonal) < r:
         raise AssertionError("relation lattice of finite classes must have full rank")
     return CriticalGroup.from_diagonal(relations.diagonal)
+
+
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
+
+
+def brute_force_spanning_trees(g: Graph) -> int:
+    """Count spanning trees by enumerating edge subsets of size n-1.
+
+    Deliberately the dumbest correct algorithm; it is the oracle the fast
+    matrix-tree path is checked against.
+    """
+    n = g.vertex_count
+    if n > 10:
+        raise SizeError(f"brute force is limited to 10 vertices, got {n}")
+    edges = g.edge_list()
+    count = 0
+    for subset in itertools.combinations(edges, n - 1):
+        uf = _UnionFind(n)
+        if all(uf.union(u, v) for u, v in subset):
+            count += 1
+    return count
+
+
+def has_conformity_property(g: Graph, s: Iterable[int]) -> bool:
+    """True iff s induces a complete or edgeless subgraph and all members of
+    s have identical neighborhoods outside s.
+
+    The direct check of the twin condition, kept for a future twin finder
+    that hashes neighbourhoods.
+    """
+    members = sorted(s)
+    if not members:
+        raise InputError("conformity set must be nonempty")
+    if len(set(members)) != len(members):
+        raise InputError("conformity set has duplicate vertices")
+    for v in members:
+        g._check_vertex(v)
+    member_set = set(members)
+    inside_edges = sum(
+        1 for i, u in enumerate(members) for v in members[i + 1 :] if g.has_edge(u, v)
+    )
+    m = len(members)
+    if inside_edges not in (0, m * (m - 1) // 2):
+        return False
+    outside = [g.neighbors(v) - member_set for v in members]
+    return all(nbhd == outside[0] for nbhd in outside[1:])

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from chipfire import (
     CriticalGroup,
+    Graph,
     complete,
     cone,
     format_edge_list,
-    from_edge_list,
     path,
     random_connected_graph,
     reduced_laplacian,
@@ -27,8 +27,8 @@ from chipfire import (
 from chipfire import cli
 from chipfire.cli import main
 
-GOEL = from_edge_list(6, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
-FORK_TREE = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
+GOEL = Graph(6, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
+FORK_TREE = Graph(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
 
 
 @pytest.fixture
@@ -113,7 +113,7 @@ class TestGroupCommand:
         assert code == 2
 
     def test_disconnected_exits_3(self, graph_file):
-        disc = graph_file("disc.txt", from_edge_list(4, [(0, 1), (2, 3)]))
+        disc = graph_file("disc.txt", Graph(4, [(0, 1), (2, 3)]))
         code, _ = run(["group", disc])
         assert code == 3
 
@@ -237,7 +237,7 @@ class TestVerifyCommand:
         assert code == 2
 
     def test_tree_verify_on_non_tree_exits_2(self, graph_file):
-        c4 = graph_file("c4.txt", from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+        c4 = graph_file("c4.txt", Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
         code, _ = run(["verify", "tree", c4, "-n", "1"])
         assert code == 2
 
@@ -350,7 +350,7 @@ class TestRegressions:
         for g, expected in (
             (complete(4), "4 vertices, 6 edges"),
             (path(2), "2 vertices, 1 edge"),
-            (from_edge_list(1, []), "1 vertex, 0 edges"),
+            (Graph(1, []), "1 vertex, 0 edges"),
         ):
             name = graph_file("g.txt", g)
             code, records = run_json(["group", name])
@@ -459,6 +459,17 @@ class TestRegressions:
         for argv in (["group", str(bad)], ["verify", "join", a, str(bad)]):
             assert run(argv) == (2, "")
             assert str(bad) in capsys.readouterr().err
+        # a cut-off byte-order mark is invalid UTF-8, not an empty file, and
+        # the offset of a bad byte after a full mark counts the mark
+        for content, where in (
+            (b"\xef", "at byte 0"),
+            (b"\xef\xbb", "at byte 0"),
+            (b"\xef\xbb\xbf\xff", "at byte 3"),
+        ):
+            bad.write_bytes(content)
+            assert run(["group", str(bad)]) == (2, "")
+            err = capsys.readouterr().err
+            assert "not UTF-8 text" in err and where in err
 
     def test_byte_order_mark_is_ignored(self, tmp_path, graph_file):
         p5 = graph_file("p5.txt", path(5))

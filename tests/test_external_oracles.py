@@ -1,9 +1,10 @@
 """Checks against independent third-party implementations.
 
 sympy's Smith-form invariant factors and networkx's spanning-tree count are
-test oracles only: each test skips when its library is missing, and the
-runtime stays stdlib-only.  Graphs stay at 12 vertices or fewer, because
-networkx counts spanning trees in floating point.
+test oracles only: each test skips when a library it needs is missing
+(networkx's count also needs numpy and scipy), and the runtime stays
+stdlib-only.  Graphs stay at 12 vertices or fewer, because networkx counts
+spanning trees in floating point.
 """
 
 import random
@@ -54,6 +55,9 @@ class TestAgainstNetworkx:
     @given(small_connected_graphs())
     def test_spanning_tree_count(self, g):
         nx = pytest.importorskip("networkx")
+        # number_of_spanning_trees builds a scipy sparse Laplacian
+        pytest.importorskip("numpy")
+        pytest.importorskip("scipy")
         h = nx.Graph()
         h.add_nodes_from(range(g.vertex_count))
         h.add_edges_from(g.edges)

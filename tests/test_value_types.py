@@ -62,6 +62,12 @@ def test_fields_cannot_be_assigned(name):
     assert getattr(value, field) == before
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0), (2, 3)])
+def test_matrix_repr_evaluates_to_an_equal_matrix(rows, cols):
+    m = IntMatrix(rows, cols, range(rows * cols))
+    assert eval(repr(m)) == m
+
+
 class TestEquality:
     def test_matrix_shape_is_part_of_the_value(self):
         assert IntMatrix(0, 3, []) != IntMatrix(0, 2, [])

@@ -11,11 +11,14 @@ signed sum of j x j principal minors and Hadamard's inequality bounds each
 of them.  Similarity transforms and the Hessenberg recurrence are ring
 identities, so working mod M is exact as long as every pivot is a unit
 mod M; if one is not, the reduction runs once per prime and the residues
-are combined by the Chinese remainder theorem.
+are combined by the Chinese remainder theorem.  A private kernel presents
+the cokernel of a nonsingular matrix modulo its determinant, with a row
+witness and no column witness.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -294,6 +297,165 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
         v=IntMatrix(n, n, [x for row in aug[m:] for x in row]),
         diagonal=tuple(aug[i][i] for i in range(limit)),
     )
+
+
+def _xgcd(a: int, b: int) -> tuple:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b, for a, b > 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _cokernel_mod_det(a: IntMatrix) -> tuple:
+    """Orders and coordinate rows of coker a, for a nonsingular square a.
+
+    Returns (orders, rows): coker a is the direct sum of Z/o over the orders
+    o >= 2, which need not form a divisibility chain, and the class of x has
+    coordinates (rows[i] . x) mod orders[i].  No column witness is built.
+
+    First, while a +-1 entry is left, multiples of its row clear its column,
+    which leaves the same cokernel on the other rows and columns; these row
+    operations are tracked exactly in U, sparse rows keep the fill low, and
+    the residual block R is small on twin-free graph Laplacians.  With
+    tau = |det R|, tau * Z^r lies in im R, so coker R is (Z/tau)^r modulo
+    the columns of R mod tau.  R is finished mod tau by row operations
+    invertible mod tau (tracked in P) and column operations (not tracked):
+    a unit pivot clears its column with its inverse; otherwise the least
+    nonzero entry is the pivot, an entry it divides is cleared by plain
+    elimination, and any other is merged with it by a 2x2 extended-gcd
+    step, by rows in its column and by columns in its row.  A pivot d leaves
+    the factor Z/gcd(d, tau) with coordinate row (P U)_d, and a row that is
+    zero mod tau leaves Z/tau.
+    """
+    k = a.rows
+    rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(a)}
+    cols = {j: set() for j in range(k)}
+    for i, row in rows.items():
+        for j in row:
+            cols[j].add(i)
+    u_rows = {i: {i: 1} for i in range(k)}
+
+    # shortest row first, then its +-1 entry in the shortest column; a row
+    # is queued again whenever an elimination changes it
+    queue = [(len(row), i) for i, row in rows.items()]
+    heapq.heapify(queue)
+    while queue:
+        length, p = heapq.heappop(queue)
+        if p not in rows or len(rows[p]) != length:
+            continue
+        units = [j for j, x in rows[p].items() if x == 1 or x == -1]
+        if not units:
+            continue
+        q = min(units, key=lambda j: len(cols[j]))
+        prow, pu = rows.pop(p), u_rows.pop(p)
+        unit = prow.pop(q)
+        for j in prow:
+            cols[j].discard(p)
+        for i in cols.pop(q) - {p}:
+            row, u = rows[i], u_rows[i]
+            c = row.pop(q) * unit  # unit is its own inverse
+            for j, x in prow.items():
+                y = row.get(j, 0) - c * x
+                if y:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = y
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            for j, x in pu.items():
+                y = u.get(j, 0) - c * x
+                if y:
+                    u[j] = y
+                else:
+                    del u[j]
+            heapq.heappush(queue, (len(row), i))
+
+    left, top = sorted(rows), sorted(cols)
+    r = len(left)
+    if not r:
+        return (), ()
+    tau = abs(determinant(IntMatrix(r, r, [rows[i].get(j, 0) for i in left for j in top])))
+    # row l is [R_l | P_l], P the row operations done mod tau
+    m = [
+        [rows[i].get(j, 0) % tau for j in top] + [int(l == c) for c in range(r)]
+        for l, i in enumerate(left)
+    ]
+
+    def combine(dst, src, c):  # row dst -= c * row src, mod tau
+        m[dst] = [(x - c * y) % tau for x, y in zip(m[dst], m[src])]
+
+    def merge(p, i, s, t, e, f):  # rows (p, i) <- (s*p + t*i, e*i - f*p), mod tau
+        x, y = m[p], m[i]
+        m[p] = [(s * v + t * w) % tau for v, w in zip(x, y)]
+        m[i] = [(e * w - f * v) % tau for v, w in zip(x, y)]
+
+    pivots = []  # (row, order) for every pivot that is not a unit
+    active = list(range(r))
+    while active:
+        pivot = next(
+            (
+                (i, j)
+                for i in active
+                for j in range(r)
+                if m[i][j] and math.gcd(m[i][j], tau) == 1
+            ),
+            None,
+        )
+        if pivot is not None:
+            p, q = pivot
+            inv = pow(m[p][q], -1, tau)
+            active.remove(p)
+            for i in active:
+                if m[i][q]:
+                    combine(i, p, m[i][q] * inv % tau)
+            continue
+        entries = [(m[i][j], i, j) for i in active for j in range(r) if m[i][j]]
+        if not entries:
+            break
+        _, p, q = min(entries)
+        active.remove(p)
+        while True:
+            for i in active:
+                b = m[i][q]
+                if not b:
+                    continue
+                d = m[p][q]
+                if b % d == 0:
+                    combine(i, p, b // d)
+                else:
+                    g, s, t = _xgcd(d, b)
+                    merge(p, i, s, t, d // g, b // g)
+            d = m[p][q]
+            j = next((j for j in range(r) if j != q and m[p][j] % d), None)
+            if j is None:
+                break
+            # column step on (q, j); column q is zero outside row p
+            b = m[p][j]
+            g, s, t = _xgcd(d, b)
+            e, f = d // g, b // g
+            for row in [m[i] for i in active] + [m[p]]:
+                v, w = row[q], row[j]
+                row[q], row[j] = (s * v + t * w) % tau, (e * w - f * v) % tau
+        pivots.append((p, math.gcd(m[p][q], tau)))
+    pivots += [(i, tau) for i in active]
+
+    orders, out = [], []
+    for p, order in pivots:
+        if order == 1:
+            continue
+        coords = [0] * k  # P_p times the exact U rows of the residual
+        for l, c in enumerate(m[p][r:]):
+            if c:
+                for j, x in u_rows[left[l]].items():
+                    coords[j] += c * x
+        orders.append(order)
+        out.append(tuple(x % order for x in coords))
+    return tuple(orders), tuple(out)
 
 
 def determinant(a: IntMatrix) -> int:

@@ -2,14 +2,25 @@
 
 The chip-firing (critical) group of a connected graph is the cokernel of the
 reduced Laplacian Lred, the Laplacian with vertex 0 deleted (the group is
-the same whichever vertex is deleted).  One Smith normal form U Lred V = S per
-graph, cached, presents it as Z/d_1 x ... x Z/d_s: the d_i are the nontrivial
-invariant factors, and the class of a degree-zero divisor has coordinates
-(U_i . x) mod d_i, where x is the divisor with vertex 0 dropped and U_i is
-the row of U matching d_i.  Every divisor-class question (is this
-divisor principal, what is the order of its class, what group do some classes
-generate or leave over) is then answered in those coordinates, with at most
-two SNFs of size about s rather than of the graph's size.
+the same whichever vertex is deleted).  One presentation per graph, cached,
+writes it as a direct sum Z/d_1 x ... x Z/d_s of cyclic groups (any such
+decomposition, not only the invariant factors): the class of a degree-zero
+divisor has coordinates (U_i . x) mod d_i, where x is the divisor with
+vertex 0 dropped and U_i is the row of the presentation matching d_i.
+Every divisor-class question (is this divisor principal, what is the order
+of its class, what group do some classes generate or leave over) is then
+answered in those coordinates, with at most two SNFs of size about s rather
+than of the graph's size.
+
+The presentation is built one of two ways, chosen from the graph.  A class
+of m >= 3 twins (equal open or closed neighbourhoods) whose degree, plus one
+for adjacent twins, is lam >= 2 forces (Z/lam)^(m-2) into Pic0.  Such graphs,
+among them cones with n >= 3 and complete graphs, take the exact Smith
+normal form U Lred V = S, whose d_i are the invariant factors: there
+tau = |det Lred| carries all of (Z/lam)^(m-2), and finishing modulo tau runs
+many times slower than the exact SNF.  Every other graph is presented
+modulo tau after exact elimination on +-1 entries, with no column witness,
+and its d_i need not form a divisibility chain.
 
 Divisors are plain integer vectors indexed by vertex; the degree-zero
 constraint is a checked precondition rather than a separate type.
@@ -24,10 +35,11 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InputError, NotConnectedError
-from .graphs import Graph, is_connected
+from .graphs import Graph, _twin_classes, is_connected
 from .intlinalg import (
     IntMatrix,
     IntPoly,
+    _cokernel_mod_det,
     char_poly,
     determinant,
     poly_divide_by_x,
@@ -143,11 +155,12 @@ def reduced_laplacian(g: Graph, remove: int) -> IntMatrix:
 
 @dataclass(frozen=True)
 class _Presentation:
-    """Pic0 as Z/d_1 x ... x Z/d_s, from the SNF U Lred V = S.
+    """Pic0 as Z/d_1 x ... x Z/d_s, any decomposition into cyclic groups.
 
-    ``factors`` are the invariant factors d_i >= 2 of the reduced Laplacian
-    with vertex 0 deleted, and ``rows[i]`` is the matching row of U reduced
-    mod d_i.
+    ``factors`` are the orders d_i >= 2, a divisibility chain only when the
+    exact SNF built them, and ``rows[i]`` is a row vector U_i reduced mod d_i
+    such that x -> ((U_i . x) mod d_i) maps coker Lred (vertex 0 deleted)
+    isomorphically onto the sum.  ``_reduced_snf`` says which route runs when.
     """
 
     factors: tuple
@@ -159,9 +172,21 @@ class _Presentation:
         return [sum(map(mul, row, x)) % m for row, m in zip(self.rows, self.factors)]
 
 
+def _has_twin_torsion(g: Graph) -> bool:
+    """Whether a class of m >= 3 twins forces (Z/lam)^(m-2) with lam >= 2
+    into Pic0.  lam is the common degree, plus one for adjacent twins, so
+    with m >= 3 it is at least 2 exactly when the degree is."""
+    return any(len(c) >= 3 and g.degree(c[0]) >= 2 for c in _twin_classes(g))
+
+
 @lru_cache(maxsize=256)
 def _reduced_snf(g: Graph) -> _Presentation:
-    snf = smith_normal_form(reduced_laplacian(g, 0))
+    """The cached presentation of Pic0(g): the exact SNF of Lred when a twin
+    class forces torsion, else the presentation modulo |det Lred|."""
+    lred = reduced_laplacian(g, 0)
+    if not _has_twin_torsion(g):
+        return _Presentation(*_cokernel_mod_det(lred))
+    snf = smith_normal_form(lred)
     # Lred is nonsingular for a connected graph: no zero on the diagonal
     keep = [i for i, d in enumerate(snf.diagonal) if d > 1]
     return _Presentation(
@@ -172,7 +197,7 @@ def _reduced_snf(g: Graph) -> _Presentation:
 
 def critical_group(g: Graph) -> CriticalGroup:
     """Pic0(g) as the cokernel of the reduced Laplacian with vertex 0 deleted."""
-    return CriticalGroup(_reduced_snf(g).factors)
+    return CriticalGroup.from_cyclic_orders(_reduced_snf(g).factors)
 
 
 def spanning_tree_count(g: Graph) -> int:
@@ -279,7 +304,7 @@ def subgroup_invariants(g: Graph, generators: Iterable[Sequence[int]]) -> Critic
     of the generators.  That lattice is the projection onto the first r
     coordinates of the kernel of [C | diag(d)], which is spanned by the
     columns s.. of the SNF column witness V.  It has full rank, because it
-    contains d_s times every unit vector.
+    contains lcm(d_1, ..., d_s) times every unit vector.
     """
     return _subgroup_from_snf(*_generated_snf(g, generators))
 

@@ -108,6 +108,18 @@ class TestGroupCommand:
         code, _ = run(["group", str(bad)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        ["1_0 0\n", "3 1\n+1 2\n", "3 1\n\uff11 2\n"],
+        ids=["underscore", "plus", "fullwidth-digit"],
+    )
+    def test_non_decimal_token_exits_2(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text, encoding="utf-8")
+        code, out = run(["group", str(bad)])
+        assert (code, out) == (2, "")
+        assert "must" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self):
         code, _ = run(["group", "does-not-exist.txt"])
         assert code == 2

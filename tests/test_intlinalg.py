@@ -2,14 +2,16 @@
 
 import contextlib
 import math
+import operator
 import random
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from chipfire import (
+    CriticalGroup,
     Graph,
     InputError,
     IntMatrix,
@@ -324,6 +326,71 @@ class TestSmithNormalFormAgainstTwoWitnessOracle:
             assert (result.u.rows, result.s.rows, result.s.cols, result.v.rows) == (
                 rows, rows, cols, cols,
             )
+
+
+@st.composite
+def nonsingular_matrices(draw):
+    """Square matrices over a drawn entry set; the sets with few units push
+    the residual block into the extended-gcd steps."""
+    size = draw(st.integers(0, 7))
+    entries = draw(
+        st.sampled_from(((0, 2, 4, 6, -2, 8), (0, 1, -1, 2, 3, 6, 9), (0, 0, 3, 6, 9, 12, 18)))
+        | st.just(tuple(range(-12, 13)))
+    )
+    cells = st.lists(st.sampled_from(entries), min_size=size * size, max_size=size * size)
+    a = IntMatrix(size, size, draw(cells))
+    assume(determinant(a) != 0)
+    return a
+
+
+class TestCokernelModDeterminant:
+    """The presentation of coker a built modulo |det a|, without a column
+    witness, against the exact SNF."""
+
+    @staticmethod
+    def assert_presents_cokernel(a):
+        orders, rows = intlinalg._cokernel_mod_det(a)
+        k = a.rows
+        assert all(o >= 2 for o in orders)
+        assert math.prod(orders) == abs(determinant(a))
+        assert CriticalGroup.from_cyclic_orders(orders) == CriticalGroup.from_diagonal(
+            smith_normal_form(a).diagonal
+        )
+        # every column of a maps to 0, so x -> (rows[i] . x mod orders[i])
+        # is defined on coker a ...
+        for o, row in zip(orders, rows):
+            assert len(row) == k
+            assert all(sum(map(operator.mul, row, a.column(j))) % o == 0 for j in range(k))
+        # ... and it is onto: the unit vectors' images leave no quotient
+        s = len(orders)
+        if s:
+            images = IntMatrix.from_rows(
+                [list(row) + [o * (l == i) for l in range(s)] for i, (o, row) in enumerate(zip(orders, rows))]
+            )
+            assert all(d == 1 for d in smith_normal_form(images).diagonal)
+        # onto plus equal orders makes it an isomorphism
+
+    @settings(max_examples=300, deadline=None)
+    @given(nonsingular_matrices())
+    def test_random_matrices(self, a):
+        self.assert_presents_cokernel(a)
+
+    @settings(max_examples=25, deadline=None)
+    @given(reduced_laplacians())
+    def test_reduced_laplacians(self, a):
+        self.assert_presents_cokernel(a)
+
+    def test_entry_equal_to_the_pivot_is_cleared_by_plain_elimination(self):
+        # no +-1 entry and no unit mod tau = 8: the pivot 2 divides the 2
+        # below it, so row 1 loses row 0 and row 0 keeps its coordinates;
+        # an extended-gcd step would swap the rows' roles instead
+        a = IntMatrix.from_rows([[2, 0], [2, 4]])
+        assert intlinalg._cokernel_mod_det(a) == ((2, 4), ((1, 0), (3, 1)))
+
+    def test_unimodular_and_empty(self):
+        assert intlinalg._cokernel_mod_det(IntMatrix.zeros(0, 0)) == ((), ())
+        assert intlinalg._cokernel_mod_det(IntMatrix.from_rows([[2, 3], [1, 2]])) == ((), ())
+        assert intlinalg._cokernel_mod_det(IntMatrix.from_rows([[5]])) == ((5,), ((1,),))
 
 
 class TestCharPolyModularEdgeCases:

@@ -44,9 +44,40 @@ from chipfire import (
     subgroup_invariants,
 )
 from oracles import has_conformity_property
+from chipfire import sandpile
 
 GOEL = Graph(6, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
 FORK_TREE = Graph(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
+
+
+PETERSEN = Graph(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)],
+)
+
+
+def torus(a, b):
+    at = lambda i, j: (i % a) * b + j % b
+    return Graph(
+        a * b,
+        [(at(i, j), at(i, j + 1)) for i in range(a) for j in range(b)]
+        + [(at(i, j), at(i + 1, j)) for i in range(a) for j in range(b)],
+    )
+
+
+def grid(a, b):
+    at = lambda i, j: i * b + j
+    return Graph(
+        a * b,
+        [(at(i, j), at(i + 1, j)) for i in range(a - 1) for j in range(b)]
+        + [(at(i, j), at(i, j + 1)) for i in range(a) for j in range(b - 1)],
+    )
+
+
+def hypercube(d):
+    return Graph(2**d, [(v, v | 1 << i) for v in range(2**d) for i in range(d) if not v >> i & 1])
 
 
 def reduced_laplacian_rows(g, remove=0):
@@ -645,6 +676,49 @@ class TestPresentationAgainstWitnessOracles:
             assert all(class_order(g, d) == (n if n > 2 else 1) for d in differences)
             for count in range(4):
                 assert_matches_oracles(g, differences, differences[:count])
+
+    @pytest.mark.parametrize(
+        "g",
+        [PETERSEN, torus(6, 6), hypercube(4), grid(8, 8)]
+        + [random_connected_graph(random.Random(seed), 30 + 2 * seed, 0.3) for seed in (0, 4, 5)],
+        ids=["petersen", "torus-6x6", "q4", "grid-8x8", "gnp-30", "gnp-38", "gnp-40"],
+    )
+    def test_twin_free_graphs_with_many_factors(self, g):
+        # presented modulo a determinant; all but gnp-30 reach the
+        # extended-gcd steps
+        assert not sandpile._has_twin_torsion(g)
+        direct = smith_normal_form(reduced_laplacian(g, 0)).diagonal
+        assert critical_group(g) == CriticalGroup.from_diagonal(direct)
+        rng = random.Random(g.vertex_count)
+        n = g.vertex_count
+        spread = [tuple(rng.randint(-3, 3) for _ in range(n - 1)) for _ in range(2)]
+        divisors = [vertex_difference(g, 0, n - 1), vertex_difference(g, 1, n // 2)]
+        divisors += [d + (-sum(d),) for d in spread]
+        for count in (0, 3):
+            assert_matches_oracles(g, divisors, divisors[:count])
+
+    def test_petersen_group(self):
+        assert critical_group(PETERSEN).invariant_factors == (2, 10, 10, 10)
+
+    def test_only_graphs_with_a_twin_class_run_the_exact_snf(self, monkeypatch):
+        real = sandpile.smith_normal_form
+        shapes = []
+
+        def counted(a):
+            shapes.append((a.rows, a.cols))
+            return real(a)
+
+        monkeypatch.setattr(sandpile, "smith_normal_form", counted)
+        star = Graph(4, [(0, 1), (0, 2), (0, 3)])  # three twins of degree 1: no torsion
+        k23 = join(Graph(2), Graph(3))  # three twins of degree 2: (Z/2)^1
+        for g, exact in ((PETERSEN, False), (GOEL, False), (cone(GOEL, 1), False),
+                         (cone(GOEL, 2), False), (cone(GOEL, 3), True), (complete(5), True),
+                         (star, False), (k23, True)):
+            sandpile._reduced_snf.cache_clear()
+            shapes.clear()
+            critical_group(g)
+            size = g.vertex_count - 1
+            assert shapes == ([(size, size)] if exact else [])
 
     def test_critical_group_for_every_removed_vertex(self):
         rng = random.Random(17)

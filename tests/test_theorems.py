@@ -165,7 +165,7 @@ class TestConeTheoremSharesOneSnf:
     """verify_cone_theorem reads the subgroup and H_n off one SNF of
     [C | diag(d)] instead of running it once for each."""
 
-    def test_three_snfs_per_call(self, monkeypatch):
+    def test_one_snf_for_the_classes_and_one_for_the_relations(self, monkeypatch):
         real = sandpile.smith_normal_form
         shapes = []
 
@@ -174,13 +174,18 @@ class TestConeTheoremSharesOneSnf:
             return real(a)
 
         monkeypatch.setattr(sandpile, "smith_normal_form", counted)
-        for g, n in ((GOEL, 3), (path(5), 1), (complete(1), 4), (FORK_TREE, 2)):
+        # GOEL with n = 3 and K_5 = cone(K_1, 4) have a class of 3 or more
+        # twins and keep the exact SNF of the Laplacian; the other two are
+        # presented modulo a determinant, without one
+        instances = ((GOEL, 3, 1), (path(5), 1, 0), (complete(1), 4, 1), (FORK_TREE, 2, 0))
+        for g, n, laplacian_snfs in instances:
             sandpile._reduced_snf.cache_clear()  # count the Laplacian's SNF too
             shapes.clear()
             verify_cone_theorem(g, n)
-            # Laplacian, [C | diag(d)], relations among the n - 1 generators
-            assert len(shapes) == 3
-            assert shapes[2] == (n - 1, n - 1)
+            size = g.vertex_count + n - 1
+            s = len(sandpile._reduced_snf(cone(g, n)).factors)
+            # the Laplacian's, [C | diag(d)], relations among the n - 1 generators
+            assert shapes == [(size, size)] * laplacian_snfs + [(s, n - 1 + s), (n - 1, n - 1)]
 
     @settings(max_examples=40, deadline=None)
     @given(graphs(max_vertices=8, connected=True), st.integers(1, 5))

@@ -195,22 +195,6 @@ def is_connected(g: Graph) -> bool:
     return len(seen) == g.vertex_count
 
 
-def _twin_classes(g: Graph) -> tuple:
-    """The classes of two or more twins, each a sorted tuple.
-
-    Independent twins have equal open neighbourhoods and adjacent twins
-    equal closed ones, so each class is a maximal set that induces an
-    edgeless or complete subgraph whose members have the same neighbours
-    outside it.  No vertex is in two classes.  One hash per neighbourhood,
-    so O(|V| + |E|).
-    """
-    classes = {}
-    for v, nbrs in enumerate(g._adjacency):
-        classes.setdefault((False, nbrs), []).append(v)
-        classes.setdefault((True, nbrs | {v}), []).append(v)
-    return tuple(sorted(tuple(c) for c in classes.values() if len(c) > 1))
-
-
 def leaves(g: Graph) -> tuple:
     """Sorted tuple of the degree-1 vertices."""
     return tuple(v for v in range(g.vertex_count) if g.degree(v) == 1)

@@ -12,8 +12,9 @@ of them.  Similarity transforms and the Hessenberg recurrence are ring
 identities, so working mod M is exact as long as every pivot is a unit
 mod M; if one is not, the reduction runs once per prime and the residues
 are combined by the Chinese remainder theorem.  A private kernel presents
-the cokernel of a nonsingular matrix modulo its determinant, with a row
-witness and no column witness.
+the cokernel of a nonsingular matrix: it splits off exactly every pivot
+that divides its row and column, finishes the rest modulo its determinant,
+and keeps a row witness but no column witness.
 """
 
 from __future__ import annotations
@@ -317,10 +318,15 @@ def _cokernel_mod_det(a: IntMatrix) -> tuple:
     o >= 2, which need not form a divisibility chain, and the class of x has
     coordinates (rows[i] . x) mod orders[i].  No column witness is built.
 
-    First, while a +-1 entry is left, multiples of its row clear its column,
-    which leaves the same cokernel on the other rows and columns; these row
-    operations are tracked exactly in U, sparse rows keep the fill low, and
-    the residual block R is small on twin-free graph Laplacians.  With
+    First, while some row has an entry d that divides every entry of its
+    row and of its column (a +-1 entry always does; d then has the least
+    absolute value in its row), multiples of its row clear its column and
+    column operations, not tracked, clear its row.  That splits off Z/|d|
+    with coordinate row U_p mod |d| and leaves the same cokernel on the
+    other rows and columns.  These row operations are tracked exactly in U,
+    sparse rows keep the fill low, and the residual block R is small on
+    graph Laplacians: a class of twins leaves rows whose entries are
+    multiples of one of them, and those split off here.  With
     tau = |det R|, tau * Z^r lies in im R, so coker R is (Z/tau)^r modulo
     the columns of R mod tau.  R is finished mod tau by row operations
     invertible mod tau (tracked in P) and column operations (not tracked):
@@ -339,25 +345,33 @@ def _cokernel_mod_det(a: IntMatrix) -> tuple:
             cols[j].add(i)
     u_rows = {i: {i: 1} for i in range(k)}
 
-    # shortest row first, then its +-1 entry in the shortest column; a row
-    # is queued again whenever an elimination changes it
+    # shortest row first, then its pivot in the shortest column; a row is
+    # queued again whenever an elimination changes it
+    orders, out = [], []
     queue = [(len(row), i) for i, row in rows.items()]
     heapq.heapify(queue)
     while queue:
         length, p = heapq.heappop(queue)
         if p not in rows or len(rows[p]) != length:
             continue
-        units = [j for j, x in rows[p].items() if x == 1 or x == -1]
-        if not units:
+        least = min(map(abs, rows[p].values()))
+        if least > 1 and any(x % least for x in rows[p].values()):
             continue
-        q = min(units, key=lambda j: len(cols[j]))
+        candidates = [
+            j
+            for j, x in rows[p].items()
+            if abs(x) == least and (least == 1 or all(rows[i][j] % least == 0 for i in cols[j]))
+        ]
+        if not candidates:
+            continue
+        q = min(candidates, key=lambda j: len(cols[j]))
         prow, pu = rows.pop(p), u_rows.pop(p)
-        unit = prow.pop(q)
+        pivot = prow.pop(q)
         for j in prow:
             cols[j].discard(p)
         for i in cols.pop(q) - {p}:
             row, u = rows[i], u_rows[i]
-            c = row.pop(q) * unit  # unit is its own inverse
+            c = row.pop(q) // pivot
             for j, x in prow.items():
                 y = row.get(j, 0) - c * x
                 if y:
@@ -374,11 +388,14 @@ def _cokernel_mod_det(a: IntMatrix) -> tuple:
                 else:
                     del u[j]
             heapq.heappush(queue, (len(row), i))
+        if least > 1:  # column operations clear the rest of row p
+            orders.append(least)
+            out.append(tuple(pu.get(j, 0) % least for j in range(k)))
 
     left, top = sorted(rows), sorted(cols)
     r = len(left)
     if not r:
-        return (), ()
+        return tuple(orders), tuple(out)
     tau = abs(determinant(IntMatrix(r, r, [rows[i].get(j, 0) for i in left for j in top])))
     # row l is [R_l | P_l], P the row operations done mod tau
     m = [
@@ -444,7 +461,6 @@ def _cokernel_mod_det(a: IntMatrix) -> tuple:
         pivots.append((p, math.gcd(m[p][q], tau)))
     pivots += [(i, tau) for i in active]
 
-    orders, out = [], []
     for p, order in pivots:
         if order == 1:
             continue

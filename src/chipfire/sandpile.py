@@ -12,15 +12,13 @@ of its class, what group do some classes generate or leave over) is then
 answered in those coordinates, with at most two SNFs of size about s rather
 than of the graph's size.
 
-The presentation is built one of two ways, chosen from the graph.  A class
-of m >= 3 twins (equal open or closed neighbourhoods) whose degree, plus one
-for adjacent twins, is lam >= 2 forces (Z/lam)^(m-2) into Pic0.  Such graphs,
-among them cones with n >= 3 and complete graphs, take the exact Smith
-normal form U Lred V = S, whose d_i are the invariant factors: there
-tau = |det Lred| carries all of (Z/lam)^(m-2), and finishing modulo tau runs
-many times slower than the exact SNF.  Every other graph is presented
-modulo tau after exact elimination on +-1 entries, with no column witness,
-and its d_i need not form a divisibility chain.
+The presentation eliminates exactly on every pivot d that divides its row
+and its column, which splits off Z/|d|: the +-1 entries first, then such
+pivots as the multiples of lam that a class of m >= 3 twins leaves once its
++-1 pivots are gone (lam is the twins' degree, plus one for adjacent twins,
+and the class forces (Z/lam)^(m-2) into Pic0).  The small block left is
+finished modulo its determinant tau with no column witness, so the d_i need
+not form a divisibility chain.
 
 Divisors are plain integer vectors indexed by vertex; the degree-zero
 constraint is a checked precondition rather than a separate type.
@@ -35,7 +33,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InputError, NotConnectedError
-from .graphs import Graph, _twin_classes, is_connected
+from .graphs import Graph, is_connected
 from .intlinalg import (
     IntMatrix,
     IntPoly,
@@ -157,10 +155,10 @@ def reduced_laplacian(g: Graph, remove: int) -> IntMatrix:
 class _Presentation:
     """Pic0 as Z/d_1 x ... x Z/d_s, any decomposition into cyclic groups.
 
-    ``factors`` are the orders d_i >= 2, a divisibility chain only when the
-    exact SNF built them, and ``rows[i]`` is a row vector U_i reduced mod d_i
-    such that x -> ((U_i . x) mod d_i) maps coker Lred (vertex 0 deleted)
-    isomorphically onto the sum.  ``_reduced_snf`` says which route runs when.
+    ``factors`` are the orders d_i >= 2, not necessarily a divisibility
+    chain, and ``rows[i]`` is a row vector U_i reduced mod d_i such that
+    x -> ((U_i . x) mod d_i) maps coker Lred (vertex 0 deleted)
+    isomorphically onto the sum.
     """
 
     factors: tuple
@@ -172,27 +170,10 @@ class _Presentation:
         return [sum(map(mul, row, x)) % m for row, m in zip(self.rows, self.factors)]
 
 
-def _has_twin_torsion(g: Graph) -> bool:
-    """Whether a class of m >= 3 twins forces (Z/lam)^(m-2) with lam >= 2
-    into Pic0.  lam is the common degree, plus one for adjacent twins, so
-    with m >= 3 it is at least 2 exactly when the degree is."""
-    return any(len(c) >= 3 and g.degree(c[0]) >= 2 for c in _twin_classes(g))
-
-
 @lru_cache(maxsize=256)
 def _reduced_snf(g: Graph) -> _Presentation:
-    """The cached presentation of Pic0(g): the exact SNF of Lred when a twin
-    class forces torsion, else the presentation modulo |det Lred|."""
-    lred = reduced_laplacian(g, 0)
-    if not _has_twin_torsion(g):
-        return _Presentation(*_cokernel_mod_det(lred))
-    snf = smith_normal_form(lred)
-    # Lred is nonsingular for a connected graph: no zero on the diagonal
-    keep = [i for i, d in enumerate(snf.diagonal) if d > 1]
-    return _Presentation(
-        tuple(snf.diagonal[i] for i in keep),
-        tuple(tuple(u % snf.diagonal[i] for u in snf.u.row(i)) for i in keep),
-    )
+    """The cached presentation of Pic0(g), from the cokernel of Lred."""
+    return _Presentation(*_cokernel_mod_det(reduced_laplacian(g, 0)))
 
 
 def critical_group(g: Graph) -> CriticalGroup:

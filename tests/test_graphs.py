@@ -1,6 +1,5 @@
 """Tests for graph construction, queries, and the edge-list format."""
 
-import itertools
 import re
 import tracemalloc
 
@@ -25,7 +24,7 @@ from chipfire import (
     verify_eigenvectors,
 )
 from oracles import has_conformity_property
-from chipfire.graphs import MAX_COMPLETE_VERTICES, MAX_VERTICES, _twin_classes
+from chipfire.graphs import MAX_COMPLETE_VERTICES, MAX_VERTICES
 
 GOEL_EDGES = [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)]
 FORK_TREE_EDGES = [(0, 1), (1, 2), (2, 3), (2, 4)]
@@ -246,56 +245,6 @@ class TestConformity:
         assert has_conformity_property(g, cone_vertices)
         for v in cone_vertices:
             assert g.degree(v) == k + n - 1
-
-
-@st.composite
-def blown_up_graphs(draw, max_vertices=9):
-    """A random graph with each vertex replaced by 1-4 twins, adjacent or
-    not, and the vertices relabelled at random."""
-    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=max_vertices))
-    while sum(sizes) > max_vertices:
-        sizes.pop()
-    pairs = list(itertools.combinations(range(len(sizes)), 2))
-    base = {e for e in pairs if draw(st.booleans())}
-    cliques = [draw(st.booleans()) for _ in sizes]
-    owner = [b for b, m in enumerate(sizes) for _ in range(m)]
-    n = len(owner)
-    label = draw(st.permutations(range(n)))
-    edges = [
-        (label[u], label[v])
-        for u, v in itertools.combinations(range(n), 2)
-        if (owner[u], owner[v]) in base or (owner[u] == owner[v] and cliques[owner[u]])
-    ]
-    return Graph(n, edges)
-
-
-class TestTwinClasses:
-    """The neighbourhood-hashing twin finder against the direct check of the
-    conformity property."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(blown_up_graphs())
-    def test_classes_are_the_maximal_conformity_sets(self, g):
-        classes = _twin_classes(g)
-        members = [v for c in classes for v in c]
-        assert len(members) == len(set(members))
-        for c in classes:
-            assert len(c) >= 2 and list(c) == sorted(c)
-            assert has_conformity_property(g, c)
-            for v in set(range(g.vertex_count)) - set(c):
-                assert not has_conformity_property(g, c + (v,))
-        # every conformity set of two or more vertices lies in one class
-        for size in range(2, g.vertex_count + 1):
-            for s in itertools.combinations(range(g.vertex_count), size):
-                if has_conformity_property(g, s):
-                    assert any(set(s) <= set(c) for c in classes)
-
-    def test_known_classes(self):
-        assert _twin_classes(Graph(1)) == ()
-        assert _twin_classes(complete(4)) == ((0, 1, 2, 3),)
-        assert _twin_classes(path(3)) == ((0, 2),)
-        assert _twin_classes(cone(path(3), 3)) == ((0, 2), (1, 3, 4, 5))
-        assert _twin_classes(Graph(5)) == ((0, 1, 2, 3, 4),)
 
 
 class TestEdgeListFormat:

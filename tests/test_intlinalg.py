@@ -17,6 +17,7 @@ from chipfire import (
     IntMatrix,
     IntPoly,
     char_poly,
+    complete,
     cone,
     determinant,
     intlinalg,
@@ -381,11 +382,31 @@ class TestCokernelModDeterminant:
         self.assert_presents_cokernel(a)
 
     def test_entry_equal_to_the_pivot_is_cleared_by_plain_elimination(self):
-        # no +-1 entry and no unit mod tau = 8: the pivot 2 divides the 2
-        # below it, so row 1 loses row 0 and row 0 keeps its coordinates;
-        # an extended-gcd step would swap the rows' roles instead
+        # no entry divides its row and none is a unit mod tau = 12: the
+        # pivot 3 divides the 3 below it, so row 1 loses row 0 and row 0
+        # keeps its coordinates; an extended-gcd step would swap the rows'
+        # roles instead
+        a = IntMatrix.from_rows([[3, 4], [3, 8]])
+        assert intlinalg._cokernel_mod_det(a) == ((12,), ((7, 1),))
+
+    def test_pivots_that_divide_their_row_and_column_split_exactly(self, monkeypatch):
         a = IntMatrix.from_rows([[2, 0], [2, 4]])
+        self.assert_presents_cokernel(a)
+        # the 2 splits off Z/2 with row 0 of U, then the 4 of row 1 - row 0
         assert intlinalg._cokernel_mod_det(a) == ((2, 4), ((1, 0), (3, 1)))
+        # after the +-1 pivots, every row of Lred(K_5) left is a multiple
+        # of 5 by one entry, so no residual block and no determinant is left
+        lred = reduced_laplacian(complete(5), 0)
+        self.assert_presents_cokernel(lred)
+        monkeypatch.setattr(intlinalg, "determinant", None)
+        assert intlinalg._cokernel_mod_det(lred)[0] == (5, 5, 5)
+
+    def test_pivot_must_divide_its_column(self):
+        # row 0 is divisible by 2, but each column holds an odd entry, so
+        # the 2 must not split off: the cokernel is Z/4, not Z/2 x Z/2
+        a = IntMatrix.from_rows([[2, 2], [1, 3]])
+        self.assert_presents_cokernel(a)
+        assert intlinalg._cokernel_mod_det(a)[0] == (4,)
 
     def test_unimodular_and_empty(self):
         assert intlinalg._cokernel_mod_det(IntMatrix.zeros(0, 0)) == ((), ())

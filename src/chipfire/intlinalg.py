@@ -4,17 +4,16 @@ Everything in this module runs on plain Python ints, so there is no
 coefficient-size limit and no floating point anywhere.  The three workhorses
 are Smith normal form with unimodular witness matrices, the Bareiss
 fraction-free determinant, and an exact characteristic polynomial computed by
-one Hessenberg reduction modulo M, the product of enough primes just below
-2**62 for M to exceed twice the bound prod_i (1 + ceil(|row_i|_2)) on every
-coefficient.  That bound holds because the coefficient of x^(m-j) is a
-signed sum of j x j principal minors and Hadamard's inequality bounds each
-of them.  Similarity transforms and the Hessenberg recurrence are ring
-identities, so working mod M is exact as long as every pivot is a unit
-mod M; if one is not, the reduction runs once per prime and the residues
-are combined by the Chinese remainder theorem.  A private kernel presents
-the cokernel of a nonsingular matrix: it splits off exactly every pivot
-that divides its row and column, finishes the rest modulo its determinant,
-and keeps a row witness but no column witness.
+one Hessenberg reduction modulo 2**e, where 2**e exceeds twice the bound
+prod_i (1 + ceil(|row_i|_2)) on every coefficient.  That bound holds because
+the coefficient of x^(m-j) is a signed sum of j x j principal minors and
+Hadamard's inequality bounds each of them.  Similarity transforms and the
+Hessenberg recurrence are identities over any commutative ring, and in
+Z/2**e the pivot of least 2-adic valuation divides every entry of its
+column, so the reduction mod 2**e is exact for every matrix.  A private
+kernel presents the cokernel of a nonsingular matrix: it splits off exactly
+every pivot that divides its row and column, finishes the rest modulo its
+determinant, and keeps a row witness but no column witness.
 """
 
 from __future__ import annotations
@@ -506,58 +505,19 @@ def determinant(a: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-# Primes just below 2**62, generated on first use and kept for later calls.
-_CRT_PRIMES: list = []
-_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the first 12 primes as bases.
-
-    These bases make the test deterministic for every n < 3.3 * 10**24.
-    """
-    if n < 2:
-        return False
-    for q in _MILLER_RABIN_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for q in _MILLER_RABIN_BASES:
-        x = pow(q, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _crt_prime(index: int) -> int:
-    """The index-th largest prime below 2**62."""
-    while len(_CRT_PRIMES) <= index:
-        candidate = (_CRT_PRIMES[-1] if _CRT_PRIMES else 1 << 62) - 1
-        while not _is_prime(candidate):
-            candidate -= 1
-        _CRT_PRIMES.append(candidate)
-    return _CRT_PRIMES[index]
-
-
-def _char_poly_mod(rows: list, p: int) -> list:
-    """Ascending coefficients of det(xI - a) mod p, a given as its rows.
-
-    p may be composite; ValueError if a pivot is not a unit mod p.
-    """
+def _char_poly_mod(rows: list, e: int) -> list:
+    """Ascending coefficients of det(xI - a) mod 2**e, a given as its rows."""
+    mask = (1 << e) - 1
     m = len(rows)
-    h = [[x % p for x in row] for row in rows]
-    # reduce to upper Hessenberg form by similarity transforms
+    h = [[x & mask for x in row] for row in rows]
+    # reduce to upper Hessenberg form by similarity transforms; the pivot of
+    # least 2-adic valuation v divides every entry below it mod 2**e
     for j in range(m - 2):
-        pivot = next((i for i in range(j + 1, m) if h[i][j]), None)
+        pivot = min(
+            (i for i in range(j + 1, m) if h[i][j]),
+            key=lambda i: h[i][j] & -h[i][j],
+            default=None,
+        )
         if pivot is None:
             continue
         k = j + 1
@@ -565,59 +525,59 @@ def _char_poly_mod(rows: list, p: int) -> list:
             h[pivot], h[k] = h[k], h[pivot]
             for row in h:
                 row[pivot], row[k] = row[k], row[pivot]
-        inv = pow(h[k][j], -1, p)
+        a = h[k][j]
+        v = (a & -a).bit_length() - 1
+        inv = pow(a >> v, -1, 1 << e)
         tail = h[k][j:]
         multipliers = []
         for i in range(k + 1, m):
-            u = h[i][j] * inv % p
-            if u:
-                h[i][j:] = [(x - u * y) % p for x, y in zip(h[i][j:], tail)]
+            b = h[i][j]
+            if b:
+                u = (b >> v) * inv & mask
+                h[i][j:] = [(x - u * y) & mask for x, y in zip(h[i][j:], tail)]
                 multipliers.append((i, u))
         if multipliers:
             # the inverse column operations, all folded into column k
             for row in h:
-                row[k] = (row[k] + sum(u * row[i] for i, u in multipliers)) % p
+                row[k] = (row[k] + sum(u * row[i] for i, u in multipliers)) & mask
 
     # polys[k] = det(xI - H_k) for the leading k x k block of H
     polys = [[1]]
     for k in range(m):
         prev = polys[k]
         diag = h[k][k]
-        current = [0] + prev  # x * prev, reduced mod p once at the end
+        current = [0] + prev  # x * prev, reduced mod 2**e once at the end
         for i, c in enumerate(prev):
             current[i] -= diag * c
         product = 1  # h[k][k-1] * ... * h[i+1][i]
         for i in range(k - 1, -1, -1):
-            product = product * h[i + 1][i] % p
+            product = product * h[i + 1][i] & mask
             if not product:
                 break
-            factor = h[i][k] * product % p
+            factor = h[i][k] * product & mask
             if factor:
                 for d, c in enumerate(polys[i]):
                     current[d] -= factor * c
-        polys.append([c % p for c in current])
+        polys.append([c & mask for c in current])
     return polys[m]
 
 
 def char_poly(a: IntMatrix) -> IntPoly:
     """Monic characteristic polynomial det(xI - a) with integer coefficients.
 
-    Computed in one lane modulo M, the product of enough primes just below
-    2**62: a mod M is reduced to upper Hessenberg form H by similarity, and
-    det(xI - H) follows from the O(m^3) Hessenberg recurrence.  Both steps
-    hold over any commutative ring, except that eliminating below a pivot
-    needs its inverse; so the lane is exact whenever every pivot it meets
-    is a unit mod M.  When a pivot is 0 modulo one prime but not modulo M,
-    the inverse does not exist and ``pow`` raises ValueError; the lane is
-    then rerun once per prime (over a field every nonzero pivot is a unit)
-    and the residues are combined by the Chinese remainder theorem.
+    One lane modulo 2**e: a is reduced to upper Hessenberg form H by
+    similarity, and det(xI - H) follows from the O(m^3) Hessenberg
+    recurrence.  Both are identities over any commutative ring; eliminating
+    below a pivot needs only that the pivot divide its column.  In Z/2**e
+    the ideals form a chain, so the entry of least 2-adic valuation v
+    divides the others: an entry b has the multiplier (b >> v) times the
+    inverse of the pivot's odd part.  The lane is exact for every matrix.
 
-    Primes are taken until their product exceeds 2B with
-    B = prod_i (1 + ceil(|row_i|_2)).  B bounds every coefficient: the
+    e is the bit length of 2B with B = prod_i (1 + ceil(|row_i|_2)).  The
     coefficient of x^(m-j) is +-(sum of the j x j principal minors), each
-    minor is at most the product of its rows' norms by Hadamard's
-    inequality, so it is at most e_j(row norms) <= B.  The symmetric
-    residues modulo the product are therefore the exact coefficients.
+    at most the product of its rows' norms by Hadamard's inequality, so
+    every coefficient is at most e_j(row norms) <= B < 2**(e-1), and the
+    symmetric residues modulo 2**e are the exact coefficients.
     """
     if not a.is_square:
         raise InputError(f"char_poly needs a square matrix, got {a.rows}x{a.cols}")
@@ -627,27 +587,11 @@ def char_poly(a: IntMatrix) -> IntPoly:
         squares = sum(x * x for x in row)
         norm_ceiling = math.isqrt(squares - 1) + 1 if squares else 0
         bound *= 1 + norm_ceiling
-
-    primes = []
-    modulus = 1
-    while modulus <= 2 * bound:
-        primes.append(_crt_prime(len(primes)))
-        modulus *= primes[-1]
-    try:
-        lanes = [(modulus, _char_poly_mod(rows, modulus))]
-    except ValueError:  # a pivot is 0 modulo some prime but not modulo all
-        lanes = [(p, _char_poly_mod(rows, p)) for p in primes]
-
-    coeffs = [0] * (a.rows + 1)  # residues modulo the product of lanes so far
-    modulus = 1
-    for p, residues in lanes:
-        inv = pow(modulus, -1, p)
-        coeffs = [
-            c + modulus * ((r - c) * inv % p) for c, r in zip(coeffs, residues)
-        ]
-        modulus *= p
-    half = modulus // 2
-    return IntPoly([c - modulus if c > half else c for c in coeffs])
+    e = (2 * bound).bit_length()
+    modulus = 1 << e
+    return IntPoly(
+        [c - modulus if 2 * c >= modulus else c for c in _char_poly_mod(rows, e)]
+    )
 
 
 def poly_eval(p: IntPoly, x: int) -> int:

@@ -146,9 +146,9 @@ def reduced_laplacian(g: Graph, remove: int) -> IntMatrix:
     """Laplacian with one row and column deleted (the matrix-tree device)."""
     g._check_vertex(remove)
     _require_connected(g)
-    lap = laplacian(g)
-    keep = [v for v in range(g.vertex_count) if v != remove]
-    return IntMatrix.from_rows([[lap.entry(i, j) for j in keep] for i in keep])
+    rows = laplacian(g).to_rows()
+    del rows[remove]
+    return IntMatrix.from_rows([row[:remove] + row[remove + 1 :] for row in rows])
 
 
 @dataclass(frozen=True)

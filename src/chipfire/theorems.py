@@ -134,9 +134,10 @@ def verify_cone_theorem(g: Graph, n: int) -> ConeSequenceReport:
 
 def _restricted_char_value(g: Graph, x: int) -> int:
     """P(x) = det(xI - L) / x for x != 0; g may be disconnected (join factors)."""
-    k, lap = g.vertex_count, laplacian(g)
-    shifted = [(x if i == j else 0) - lap[i, j] for i in range(k) for j in range(k)]
-    return determinant(IntMatrix(k, k, shifted)) // x
+    shifted = [[-entry for entry in row] for row in laplacian(g)]
+    for i, row in enumerate(shifted):
+        row[i] += x
+    return determinant(IntMatrix.from_rows(shifted)) // x
 
 
 def verify_join_theorem(gs: Sequence[Graph]) -> JoinOrderReport:

@@ -6,7 +6,7 @@ import operator
 import random
 
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -415,26 +415,16 @@ class TestCokernelModDeterminant:
 
 
 class TestCharPolyModularEdgeCases:
-    def test_prime_supply(self):
-        gaps = [2**62 - intlinalg._crt_prime(i) for i in range(10)]
-        assert gaps == [57, 87, 117, 143, 153, 167, 171, 195, 203, 273]
-
-    def test_miller_rabin_against_trial_division(self):
-        def trial(n):
-            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
-
-        assert [n for n in range(3000) if intlinalg._is_prime(n)] == [
-            n for n in range(3000) if trial(n)
-        ]
-        # strong pseudoprimes to bases 2, 3, 5, 7 (and a Carmichael number)
-        for n in (561, 3215031751, 2152302898747, 3474749660383):
-            assert not intlinalg._is_prime(n)
-
-    def test_entries_vanish_mod_the_first_prime(self):
-        p = intlinalg._crt_prime(0)
-        a = IntMatrix.from_rows([[p, p, 0], [p, -p, p], [0, p, p]])
-        assert char_poly(a) == oracles.char_poly(a)
-        assert char_poly(a) == IntPoly([3 * p**3, -3 * p**2, -p, 1])
+    def test_entries_vanish_mod_the_modulus(self):
+        # every pivot is even, and with the second matrix some products of
+        # entries vanish mod 2**e on the way
+        q = 2**70
+        a = IntMatrix.from_rows([[q, q, 0], [q, -q, q], [0, q, q]])
+        assert char_poly(a) == IntPoly([3 * q**3, -3 * q**2, -q, 1])
+        b = IntMatrix.from_rows(
+            [[-512, 0, 256, 0], [2, -256, 0, 0], [0, -512, 0, -512], [2, -512, 0, -256]]
+        )
+        assert char_poly(b) == oracles.char_poly(b)
 
     def test_reversal_permutation_needs_pivot_swaps(self):
         for m in range(1, 8):
@@ -461,42 +451,32 @@ class TestCharPolyModularEdgeCases:
     def test_one_by_one_needs_several_primes(self):
         assert char_poly(IntMatrix.from_rows([[-(2**300)]])) == IntPoly([2**300, 1])
 
-    def test_bound_beyond_the_primes_generated_so_far(self):
-        # a 1x1 entry of this size needs two primes more than exist yet
-        known = len(intlinalg._CRT_PRIMES)
-        big = 2 ** (62 * (known + 1)) + 12345
+    def test_wide_modulus(self):
+        # a 1x1 entry of this size needs a modulus of more than 1000 bits
+        big = 3 * 2**1000 + 12345
         a = IntMatrix.from_rows([[big, 1], [-1, -big]])
         assert char_poly(a) == IntPoly([1 - big * big, 0, 1])
-        assert len(intlinalg._CRT_PRIMES) > known
 
 
-def hadamard_primes(a):
-    """The CRT primes whose product first exceeds twice the Hadamard bound
-    prod_i (1 + ceil(|row_i|_2)) on the coefficients of det(xI - a)."""
+def modulus_bits(a):
+    """e = (2B).bit_length() for the Hadamard bound B = prod_i (1 +
+    ceil(|row_i|_2)) on the coefficients of det(xI - a)."""
     bound = 1
     for row in a:
         squares = sum(x * x for x in row)
         bound *= 1 + (math.isqrt(squares - 1) + 1 if squares else 0)
-    primes = []
-    while math.prod(primes) <= 2 * bound:
-        primes.append(intlinalg._crt_prime(len(primes)))
-    return primes
+    return (2 * bound).bit_length()
 
 
 @contextlib.contextmanager
 def recorded_lanes():
-    """Records (modulus, raised) for every call of intlinalg._char_poly_mod."""
+    """Records the exponent e of every call of intlinalg._char_poly_mod."""
     calls = []
     real = intlinalg._char_poly_mod
 
-    def spy(rows, modulus):
-        try:
-            result = real(rows, modulus)
-        except ValueError:
-            calls.append((modulus, True))
-            raise
-        calls.append((modulus, False))
-        return result
+    def spy(rows, e):
+        calls.append(e)
+        return real(rows, e)
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(intlinalg, "_char_poly_mod", spy)
@@ -504,50 +484,49 @@ def recorded_lanes():
 
 
 @st.composite
-def matrices_with_prime_entries(draw):
-    """Square 0-8 matrices whose entries mix small ints with +-p0, +-p1 and
-    p0*p1 for the first two CRT primes, so that pivots are often 0 modulo
-    one prime but not modulo the product."""
-    p0, p1 = intlinalg._crt_prime(0), intlinalg._crt_prime(1)
+def matrices_rich_in_powers_of_two(draw):
+    """Square 0-8 matrices whose entries mix small ints with +-2**t and
+    +-3 * 2**t, so that pivots are often even and the entry of least 2-adic
+    valuation is often not the first nonzero one."""
     m = draw(st.integers(min_value=0, max_value=8))
+    t = st.integers(min_value=0, max_value=80)
     entry = st.one_of(
-        st.integers(-3, 3), st.sampled_from((p0, -p0, p1, -p1, p0 * p1))
+        st.integers(-3, 3),
+        st.tuples(st.sampled_from((1, -1, 3, -3)), t).map(lambda ct: ct[0] << ct[1]),
     )
     return IntMatrix(m, m, draw(st.lists(entry, min_size=m * m, max_size=m * m)))
 
 
 class TestCharPolyOneLane:
-    """char_poly runs one Hessenberg lane modulo the product of the CRT
-    primes, and one lane per prime only when a pivot is not a unit."""
+    """char_poly runs one Hessenberg lane modulo 2**e, with the pivot of
+    least 2-adic valuation, whatever the pivots are."""
 
     def test_connected_laplacian_takes_one_lane(self):
-        # 5, 20 and 40 vertices need 1, 2 and 3 primes
-        for n, prime_count in ((5, 1), (20, 2), (40, 3)):
-            lap = laplacian(random_connected_graph(random.Random(n), n, 0.3))
-            primes = hadamard_primes(lap)
-            assert len(primes) == prime_count
+        q = 2**70
+        even = IntMatrix.from_rows([[q, q, 0], [q, -q, q], [0, q, q]])
+        cases = [even] + [
+            laplacian(random_connected_graph(random.Random(n), n, 0.3)) for n in (5, 20, 40)
+        ]
+        for a in cases:
             with recorded_lanes() as calls:
-                result = char_poly(lap)
-            assert calls == [(math.prod(primes), False)]
-            assert result == oracles.char_poly(lap)
+                result = char_poly(a)
+            assert calls == [modulus_bits(a)]
+            assert result == oracles.char_poly(a)
 
-    def test_non_unit_pivot_falls_back_to_one_lane_per_prime(self):
-        p = intlinalg._crt_prime(0)
-        a = IntMatrix.from_rows([[p, p, 0], [p, -p, p], [0, p, p]])
-        with recorded_lanes() as calls:
-            result = char_poly(a)
-        primes = hadamard_primes(a)
-        assert len(primes) > 1
-        assert calls == [(math.prod(primes), True)] + [(q, False) for q in primes]
-        assert result == oracles.char_poly(a)
+    @settings(max_examples=60, deadline=None)
+    @given(square_matrices(entry_bits=(4, 64)), st.integers(min_value=1, max_value=80))
+    def test_scaling_by_a_power_of_two(self, a, t):
+        # every pivot of 2**t * a is even; the coefficient of x^(m-j) scales
+        # by 2**(t*j)
+        m = a.rows
+        scaled = IntMatrix(m, m, [x << t for x in a.entries])
+        expected = [c << (t * (m - i)) for i, c in enumerate(char_poly(a).coefficients)]
+        assert char_poly(scaled) == IntPoly(expected)
 
     @settings(max_examples=150, deadline=None)
-    @given(matrices_with_prime_entries())
-    def test_prime_entries_against_interpolation(self, a):
-        with recorded_lanes() as calls:
-            result = char_poly(a)
-        event("per-prime fallback" if calls[0][1] else "one lane")
-        assert result == oracles.char_poly(a)
+    @given(matrices_rich_in_powers_of_two())
+    def test_powers_of_two_against_interpolation(self, a):
+        assert char_poly(a) == oracles.char_poly(a)
 
 
 class TestPolyOps:

@@ -37,7 +37,7 @@ from .graphs import Graph, is_connected
 from .intlinalg import (
     IntMatrix,
     IntPoly,
-    _cokernel_mod_det,
+    _cokernel_rows,
     char_poly,
     determinant,
     poly_divide_by_x,
@@ -172,8 +172,18 @@ class _Presentation:
 
 @lru_cache(maxsize=256)
 def _reduced_snf(g: Graph) -> _Presentation:
-    """The cached presentation of Pic0(g), from the cokernel of Lred."""
-    return _Presentation(*_cokernel_mod_det(reduced_laplacian(g, 0)))
+    """The cached presentation of Pic0(g), from the cokernel of Lred.
+
+    The sparse rows of Lred (vertex 0 deleted, so vertex v is index v - 1)
+    come straight from the adjacency, with no dense Laplacian.
+    """
+    _require_connected(g)
+    rows = {}
+    for v in range(1, g.vertex_count):
+        neighbors = g.neighbors(v)
+        row = [(w - 1, -1) for w in neighbors if w] + [(v - 1, len(neighbors))]
+        rows[v - 1] = dict(sorted(row))
+    return _Presentation(*_cokernel_rows(rows))
 
 
 def critical_group(g: Graph) -> CriticalGroup:

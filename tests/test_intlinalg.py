@@ -19,6 +19,7 @@ from chipfire import (
     char_poly,
     complete,
     cone,
+    cycle,
     determinant,
     intlinalg,
     laplacian,
@@ -265,7 +266,7 @@ class TestCharPolyAgainstInterpolation:
 
     @settings(max_examples=25, deadline=None)
     @given(square_matrices(min_size=6, entry_bits=(128,)))
-    def test_full_width_entries_need_many_primes(self, a):
+    def test_128_bit_entries_in_six_to_nine_rows(self, a):
         assert char_poly(a) == oracles.char_poly(a)
 
     @settings(max_examples=30, deadline=None)
@@ -448,7 +449,7 @@ class TestCharPolyModularEdgeCases:
         a = IntMatrix(m, m, [rng.randint(-50, 50) if j > i else 0 for i in range(m) for j in range(m)])
         assert char_poly(a) == IntPoly([0] * m + [1])
 
-    def test_one_by_one_needs_several_primes(self):
+    def test_one_by_one_with_a_300_bit_entry(self):
         assert char_poly(IntMatrix.from_rows([[-(2**300)]])) == IntPoly([2**300, 1])
 
     def test_wide_modulus(self):
@@ -527,6 +528,104 @@ class TestCharPolyOneLane:
     @given(matrices_rich_in_powers_of_two())
     def test_powers_of_two_against_interpolation(self, a):
         assert char_poly(a) == oracles.char_poly(a)
+
+
+@contextlib.contextmanager
+def recorded_reductions():
+    """Records (name, e) for every call of the two Hessenberg reductions."""
+    calls = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for name in ("_hessenberg_packed", "_hessenberg_scalar"):
+            real = getattr(intlinalg, name)
+
+            def spy(rows, e, name=name, real=real):
+                calls.append((name, e))
+                return real(rows, e)
+
+            monkeypatch.setattr(intlinalg, name, spy)
+        yield calls
+
+
+CROSSOVER = intlinalg._PACKED_MAX_BITS
+
+
+def assert_reductions_agree(a, e):
+    """Both reductions give the same band mod 2**e, and when 2**e covers
+    the Hadamard bound, the recurrence on it gives the exact coefficients."""
+    rows = a.to_rows()
+    band = intlinalg._hessenberg_packed(rows, e)
+    assert band == intlinalg._hessenberg_scalar(rows, e)
+    assert rows == a.to_rows()  # neither reduction touches its input
+    assert [len(column) for column in band] == [min(c + 2, a.rows) for c in range(a.rows)]
+    if e >= modulus_bits(a):
+        modulus = 1 << e
+        coefficients = intlinalg._char_poly_mod(rows, e)
+        signed = [c - modulus if 2 * c >= modulus else c for c in coefficients]
+        assert IntPoly(signed) == oracles.char_poly(a)
+
+
+class TestPackedReduction:
+    """The packed Hessenberg reduction (one int per column) against the
+    scalar one, called directly with e on both sides of the crossover."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(matrices_rich_in_powers_of_two(), square_matrices()),
+        st.sampled_from((None, 8, 65, CROSSOVER - 1, CROSSOVER, CROSSOVER + 1, CROSSOVER + 101)),
+    )
+    def test_random_matrices(self, a, e):
+        # None is the modulus char_poly would use; the fixed widths are
+        # narrower or wider than it
+        assert_reductions_agree(a, modulus_bits(a) if e is None else e)
+
+    def test_zero_one_and_two_rows(self):
+        for a in (IntMatrix(0, 0, []), IntMatrix.from_rows([[-7]]), IntMatrix.from_rows([[3, -2**90], [5, 0]])):
+            for e in (modulus_bits(a), CROSSOVER, CROSSOVER + 1):
+                assert_reductions_agree(a, e)
+
+    def test_zero_columns_have_no_pivot(self):
+        a = IntMatrix.from_rows([[0, 4, 1, 0], [0, 0, 2, 0], [0, 0, 0, 0], [0, 8, 6, 0]])
+        for e in (modulus_bits(a), CROSSOVER, CROSSOVER + 1):
+            assert_reductions_agree(a, e)
+
+    def test_reversal_permutation_swaps_every_pivot(self):
+        for m in range(1, 10):
+            a = IntMatrix(m, m, [1 if i + j == m - 1 else 0 for i in range(m) for j in range(m)])
+            for e in (modulus_bits(a), CROSSOVER, CROSSOVER + 1):
+                assert_reductions_agree(a, e)
+
+    def test_largest_column_accumulation(self):
+        # row 1 is (1, 0, ..., 0) and every other entry is -1, so step 0
+        # has m - 2 multipliers u = -1 = 2**e - 1, and every entry it leaves
+        # right of column 0 in rows 0 and 2.. is 2**e - 1: before its mask,
+        # a slot of the column operation reaches its largest value
+        # (2**e - 1) + (m - 2) * (2**e - 1)**2.  Four consecutive e fill the
+        # last byte of a slot in every way.
+        for m in (3, 4, 9, 17, 40):
+            rows = [[-1] * m for _ in range(m)]
+            rows[1] = [1] + [0] * (m - 1)
+            a = IntMatrix.from_rows(rows)
+            for e in list(range(CROSSOVER - 3, CROSSOVER + 5)) + [modulus_bits(a)]:
+                assert_reductions_agree(a, e)
+
+    def test_benchmark_sized_laplacians_take_the_packed_reduction(self):
+        # no Laplacian on at most 40 vertices has a wider modulus than K_40's
+        graphs = [random_connected_graph(random.Random(n), n, 0.3) for n in (22, 31, 40)]
+        graphs += [cone(random_connected_graph(random.Random(1), 26, 0.3), 2), complete(40)]
+        for g in graphs:
+            a = laplacian(g)
+            with recorded_reductions() as calls:
+                result = char_poly(a)
+            assert calls == [("_hessenberg_packed", modulus_bits(a))]
+            assert result == oracles.char_poly(a)
+        assert modulus_bits(laplacian(complete(40))) <= CROSSOVER
+
+    def test_a_200_cycle_takes_the_scalar_reduction(self):
+        a = laplacian(cycle(200))
+        with recorded_reductions() as calls:
+            char_poly(a)
+        assert calls == [("_hessenberg_scalar", modulus_bits(a))]
+        assert modulus_bits(a) > CROSSOVER
 
 
 class TestPolyOps:

@@ -45,7 +45,7 @@ from chipfire import (
     subgroup_invariants,
 )
 from oracles import has_conformity_property
-from chipfire import sandpile
+from chipfire import intlinalg, sandpile
 
 GOEL = Graph(6, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
 FORK_TREE = Graph(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
@@ -746,6 +746,24 @@ class TestPresentationAgainstWitnessOracles:
             shapes.clear()
             critical_group(g)
             assert shapes == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(connected_graphs(max_vertices=30), blown_up_graphs().filter(is_connected)))
+    def test_rows_from_the_adjacency_give_the_dense_presentation(self, g):
+        # the same sparse rows, in the same order, as the kernel's adapter
+        # builds from reduced_laplacian(g, 0): identical orders and rows
+        dense = intlinalg._cokernel_mod_det(reduced_laplacian(g, 0))
+        sandpile._reduced_snf.cache_clear()
+        assert sandpile._reduced_snf(g) == sandpile._Presentation(*dense)
+
+    def test_presentation_builds_no_dense_laplacian(self, monkeypatch):
+        monkeypatch.setattr(sandpile, "laplacian", None)
+        monkeypatch.setattr(sandpile, "reduced_laplacian", None)
+        sandpile._reduced_snf.cache_clear()
+        assert critical_group(path(300)).is_trivial
+        assert critical_group(cycle(300)).invariant_factors == (300,)
+        with pytest.raises(NotConnectedError):
+            critical_group(Graph(3, [(0, 1)]))
 
     def test_critical_group_for_every_removed_vertex(self):
         rng = random.Random(17)

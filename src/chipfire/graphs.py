@@ -60,12 +60,7 @@ class Graph:
     edges: frozenset
 
     def __init__(self, vertex_count: int, edges: Iterable[Edge] = ()):
-        if not isinstance(vertex_count, int) or vertex_count < 1:
-            raise InputError(f"vertex count must be a positive integer, got {vertex_count!r}")
-        if vertex_count > MAX_VERTICES:
-            raise SizeError(
-                f"graph on {vertex_count} vertices exceeds the limit of {MAX_VERTICES}"
-            )
+        _check_vertex_count(vertex_count)
         canonical = set()
         for pair in edges:
             try:
@@ -104,11 +99,6 @@ class Graph:
         self._check_vertex(v)
         return len(self._adjacency[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return v in self._adjacency[u]
-
     def edge_list(self) -> list:
         """Edges in sorted order, for deterministic serialization."""
         return sorted(self.edges)
@@ -119,6 +109,19 @@ class Graph:
 
     def __repr__(self):
         return f"Graph({self.vertex_count}, {self.edge_list()})"
+
+
+def _check_vertex_count(vertex_count) -> None:
+    """The vertex rule of every graph: a positive int of at most MAX_VERTICES.
+
+    Constructors that draw or allocate per vertex call it first.
+    """
+    if not isinstance(vertex_count, int) or vertex_count < 1:
+        raise InputError(f"vertex count must be a positive integer, got {vertex_count!r}")
+    if vertex_count > MAX_VERTICES:
+        raise SizeError(
+            f"graph on {vertex_count} vertices exceeds the limit of {MAX_VERTICES}"
+        )
 
 
 def _check_complete_size(m: int) -> None:

@@ -78,35 +78,13 @@ class IntMatrix:
             raise InputError("ragged rows")
         return cls(n_rows, n_cols, [e for r in rows for e in r])
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
-
-    @property
-    def entries(self) -> tuple:
-        """Row-major flat tuple of entries."""
-        return tuple(e for row in self._data for e in row)
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def entry(self, i: int, j: int) -> int:
-        return self._data[i][j]
-
     def __getitem__(self, ij) -> int:
         i, j = ij
         return self._data[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self._data[i]
-
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self._data)
 
     def to_rows(self) -> list:
         """Mutable list-of-lists copy of the entries."""
@@ -114,13 +92,6 @@ class IntMatrix:
 
     def __iter__(self):
         return iter(self._data)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            [self._data[i][j] for j in range(self.cols) for i in range(self.rows)],
-        )
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -135,11 +106,6 @@ class IntMatrix:
             sum(a * b for a, b in zip(row, col)) for row in self._data for col in cols
         ]
         return IntMatrix(self.rows, other.cols, data)
-
-    def mul_vector(self, vec: Sequence[int]) -> tuple:
-        if len(vec) != self.cols:
-            raise InputError(f"vector length {len(vec)} != column count {self.cols}")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self._data)
 
     def __repr__(self):
         if not self.rows:  # from_rows([]) would lose the column count
@@ -312,12 +278,6 @@ def _xgcd(a: int, b: int) -> tuple:
         s0, s1 = s1, s0 - q * s1
         t0, t1 = t1, t0 - q * t1
     return a, s0, t0
-
-
-def _cokernel_mod_det(a: IntMatrix) -> tuple:
-    """Orders and coordinate rows of coker a, for a nonsingular square a
-    (see _cokernel_rows)."""
-    return _cokernel_rows({i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(a)})
 
 
 def _cokernel_rows(rows: dict) -> tuple:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -88,10 +89,6 @@ class CriticalGroup:
     @property
     def is_trivial(self) -> bool:
         return not self.invariant_factors
-
-    @classmethod
-    def trivial(cls) -> "CriticalGroup":
-        return cls(())
 
     @classmethod
     def from_diagonal(cls, diagonal: Iterable[int]) -> "CriticalGroup":
@@ -302,7 +299,7 @@ def subgroup_invariants(g: Graph, generators: Iterable[Sequence[int]]) -> Critic
 
 def _subgroup_from_snf(r: int, snf) -> CriticalGroup:
     s = snf.u.rows
-    relations = [snf.v.entry(i, j) for i in range(r) for j in range(s, s + r)]
+    relations = [x for row in islice(snf.v, r) for x in row[s:]]
     return CriticalGroup.from_diagonal(smith_normal_form(IntMatrix(r, r, relations)).diagonal)
 
 

@@ -1,9 +1,12 @@
 """Verification harness for the structural facts about cones and joins.
 
 Each verifier recomputes both sides of a claimed identity through independent
-code paths (SNF or the matrix-tree count on one side, Bareiss determinants
-of xI - L on the other) and reports whether they agree.  Everything is exact
-integer arithmetic, so "holds" means equality, not closeness.
+code paths and reports whether they agree.  On the Pic0 side, the cone and
+tree checks read the cached presentation of Pic0 and then run small SNFs
+over the generators' coordinates; the join check takes the matrix-tree
+count.  The other side of each order check is a Bareiss determinant of
+xI - L.  Everything is exact integer arithmetic, so "holds" means equality,
+not closeness.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Iterator, List, NamedTuple, Sequence
 
 from .errors import InputError, NotConnectedError
 from .graphs import Graph, cone, is_connected, is_tree, join, leaves
-from .graphs import _check_cone_size
+from .graphs import _check_cone_size, _check_vertex_count
 from .intlinalg import IntMatrix, determinant
 from .sandpile import (
     CriticalGroup,
@@ -89,7 +92,11 @@ class TreeBoundReport(NamedTuple):
 
 def cone_difference_divisors(k: int, n: int) -> List[tuple]:
     """The n-1 degree-zero divisors on cone(g, n) of the form
-    (cone vertex i) - (first cone vertex)."""
+    (cone vertex i) - (first cone vertex); k, n >= 1 and ``cone``'s size
+    rules are checked before any divisor is built."""
+    if k < 1 or n < 1:
+        raise InputError(f"base and cone sizes must be at least 1, got k={k}, n={n}")
+    _check_cone_size(k, n)
     return list(_cone_differences(k, n))
 
 
@@ -217,8 +224,7 @@ def verify_eigenvectors(g: Graph, n: int) -> bool:
 def tree_from_pruefer(sequence: Sequence[int], vertex_count: int) -> Graph:
     """Decode a Pruefer sequence into the labeled tree it encodes."""
     n = vertex_count
-    if n < 1:
-        raise InputError("tree needs at least one vertex")
+    _check_vertex_count(n)
     if n == 1:
         if len(sequence) != 0:
             raise InputError("a one-vertex tree has an empty Pruefer sequence")
@@ -227,8 +233,8 @@ def tree_from_pruefer(sequence: Sequence[int], vertex_count: int) -> Graph:
         raise InputError(f"Pruefer sequence for {n} vertices must have length {n - 2}")
     degree = [1] * n
     for x in sequence:
-        if not (0 <= x < n):
-            raise InputError(f"Pruefer entry {x} out of range")
+        if not isinstance(x, int) or not 0 <= x < n:
+            raise InputError(f"Pruefer entry {x!r} is not a vertex in [0, {n})")
         degree[x] += 1
     leaf_heap = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaf_heap)
@@ -247,8 +253,7 @@ def tree_from_pruefer(sequence: Sequence[int], vertex_count: int) -> Graph:
 
 def random_tree(rng: random.Random, vertex_count: int) -> Graph:
     """Uniform random labeled tree via a random Pruefer sequence."""
-    if vertex_count < 1:
-        raise InputError("tree needs at least one vertex")
+    _check_vertex_count(vertex_count)
     sequence = [rng.randrange(vertex_count) for _ in range(vertex_count - 2)]
     return tree_from_pruefer(sequence, vertex_count)
 
@@ -264,8 +269,7 @@ def random_connected_graph(
     Gives up with ``InputError`` after a fixed number of disconnected draws,
     so an edge probability too small for the vertex count cannot hang.
     """
-    if vertex_count < 1:
-        raise InputError("graph needs at least one vertex")
+    _check_vertex_count(vertex_count)
     if not 0.0 <= edge_probability <= 1.0:
         raise InputError("edge probability must lie in [0, 1]")
     if edge_probability == 0.0 and vertex_count > 1:

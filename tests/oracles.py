@@ -44,7 +44,7 @@ def char_poly(a: IntMatrix) -> IntPoly:
             m,
             m,
             [
-                (t if i == j else 0) - a.entry(i, j)
+                (t if i == j else 0) - a[i, j]
                 for i in range(m)
                 for j in range(m)
             ],
@@ -261,7 +261,7 @@ def _snf_coordinates(g: Graph, d: Sequence[int]) -> list:
     """Pairs (s_i, c_i) with c = U d for the full-Laplacian SNF U L V = S."""
     _require_connected(g)
     snf = _full_laplacian_snf(g)
-    c = snf.u.mul_vector(d)
+    c = [sum(x * y for x, y in zip(row, d)) for row in snf.u]
     return list(zip(snf.diagonal, c))
 
 
@@ -312,11 +312,9 @@ def quotient_by_classes(g: Graph, generators: Iterable[Sequence[int]]) -> Critic
     remove = 0
     reduced = reduced_laplacian(g, remove)
     columns = [_reduced_coordinates(d, remove) for d in gens]
-    rows = [
-        list(reduced.row(i)) + [col[i] for col in columns] for i in range(reduced.rows)
-    ]
+    rows = [list(row) + [col[i] for col in columns] for i, row in enumerate(reduced)]
     if not rows:  # single-vertex graph: Pic0 is trivial
-        return CriticalGroup.trivial()
+        return CriticalGroup()
     snf = smith_normal_form(IntMatrix.from_rows(rows))
     return CriticalGroup.from_diagonal(snf.diagonal)
 
@@ -332,23 +330,18 @@ def subgroup_invariants(g: Graph, generators: Iterable[Sequence[int]]) -> Critic
     _require_connected(g)
     r = len(gens)
     if r == 0:
-        return CriticalGroup.trivial()
+        return CriticalGroup()
     remove = 0
     reduced = reduced_laplacian(g, remove)
     columns = [_reduced_coordinates(d, remove) for d in gens]
     k = reduced.rows
     if k == 0:  # single-vertex graph: every class is trivial
-        return CriticalGroup.trivial()
-    rows = [
-        [col[i] for col in columns] + list(reduced.row(i)) for i in range(k)
-    ]
+        return CriticalGroup()
+    rows = [[col[i] for col in columns] + list(row) for i, row in enumerate(reduced)]
     snf = smith_normal_form(IntMatrix.from_rows(rows))
     rank = sum(1 for d in snf.diagonal if d != 0)
-    total_cols = r + k
     # kernel basis of [G | Lred]: columns of V past the rank
-    relation_rows = [
-        [snf.v.entry(i, j) for j in range(rank, total_cols)] for i in range(r)
-    ]
+    relation_rows = [row[rank:] for row in snf.v.to_rows()[:r]]
     relations = smith_normal_form(IntMatrix.from_rows(relation_rows))
     if any(d == 0 for d in relations.diagonal) or len(relations.diagonal) < r:
         raise AssertionError("relation lattice of finite classes must have full rank")
@@ -407,7 +400,7 @@ def has_conformity_property(g: Graph, s: Iterable[int]) -> bool:
         g._check_vertex(v)
     member_set = set(members)
     inside_edges = sum(
-        1 for i, u in enumerate(members) for v in members[i + 1 :] if g.has_edge(u, v)
+        1 for i, u in enumerate(members) for v in members[i + 1 :] if v in g.neighbors(u)
     )
     m = len(members)
     if inside_edges not in (0, m * (m - 1) // 2):

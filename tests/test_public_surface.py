@@ -1,8 +1,11 @@
-"""The public names of ``chipfire``, pinned.
+"""The public names of ``chipfire`` and the public members of its value
+types, pinned.
 
-Adding, removing or re-exporting a public name is an API change, so it has
-to be an edit of this list as well.
+Adding, removing or re-exporting a public name or member is an API change,
+so it has to be an edit of these lists as well.
 """
+
+import dataclasses
 
 import chipfire
 
@@ -71,3 +74,40 @@ def test_public_names_are_pinned():
     assert sorted(chipfire.__all__) == PUBLIC_NAMES
     for name in REMOVED_NAMES:
         assert not hasattr(chipfire, name), name
+
+
+PUBLIC_MEMBERS = {
+    "IntMatrix": ["cols", "from_rows", "is_square", "rows", "to_rows"],
+    "IntPoly": ["coefficients", "degree", "is_zero"],
+    "SnfResult": ["diagonal", "s", "u", "v"],
+    "Graph": ["degree", "edge_count", "edge_list", "edges", "neighbors", "vertex_count"],
+    "CriticalGroup": ["from_cyclic_orders", "from_diagonal", "invariant_factors", "is_trivial", "order"],
+}
+
+# Members no code under src/ called.  A matrix is built from its entries or
+# rows and read by a[i, j], iteration or to_rows(); an edge is tested by
+# v in g.neighbors(u); CriticalGroup() is the trivial group.
+REMOVED_MEMBERS = [
+    ("IntMatrix", "identity"),
+    ("IntMatrix", "zeros"),
+    ("IntMatrix", "entries"),
+    ("IntMatrix", "entry"),
+    ("IntMatrix", "row"),
+    ("IntMatrix", "column"),
+    ("IntMatrix", "transpose"),
+    ("IntMatrix", "mul_vector"),
+    ("Graph", "has_edge"),
+    ("CriticalGroup", "trivial"),
+]
+
+
+def public_members(cls):
+    names = set(dir(cls)) | {field.name for field in dataclasses.fields(cls)}
+    return sorted(name for name in names if not name.startswith("_"))
+
+
+def test_public_members_of_the_value_types_are_pinned():
+    for name, members in PUBLIC_MEMBERS.items():
+        assert public_members(getattr(chipfire, name)) == members, name
+    for name, member in REMOVED_MEMBERS:
+        assert not hasattr(getattr(chipfire, name), member), f"{name}.{member}"

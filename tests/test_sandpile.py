@@ -6,6 +6,7 @@ system gives an all-integer solution, which needs nothing but determinants.
 """
 
 import itertools
+import operator
 import random
 import tracemalloc
 
@@ -85,7 +86,7 @@ def reduced_laplacian_rows(g, remove=0):
     """Reduced Laplacian built directly from adjacency, for the oracle."""
     keep = [v for v in range(g.vertex_count) if v != remove]
     return [
-        [g.degree(u) if u == v else (-1 if g.has_edge(u, v) else 0) for v in keep]
+        [g.degree(u) if u == v else (-1 if v in g.neighbors(u) else 0) for v in keep]
         for u in keep
     ]
 
@@ -133,9 +134,9 @@ class TestLaplacian:
 
     def test_rows_and_columns_sum_to_zero(self):
         lap = laplacian(GOEL)
-        for i in range(6):
-            assert sum(lap.row(i)) == 0
-            assert sum(lap.column(i)) == 0
+        for row, column in zip(lap, zip(*lap)):
+            assert sum(row) == 0
+            assert sum(column) == 0
 
     def test_reduced(self):
         assert reduced_laplacian(complete(3), 0) == IntMatrix.from_rows([[2, -1], [-1, 2]])
@@ -155,7 +156,7 @@ class TestCriticalGroupType:
             CriticalGroup((1, 2))
 
     def test_trivial(self):
-        g = CriticalGroup.trivial()
+        g = CriticalGroup()
         assert g.order == 1 and g.is_trivial and str(g) == "trivial"
 
     def test_from_diagonal_drops_units(self):
@@ -395,7 +396,7 @@ class TestIsPrincipal:
         for g in (GOEL, cycle(5), cone(path(3), 2)):
             lap = laplacian(g)
             for v in range(g.vertex_count):
-                assert is_principal(g, list(lap.column(v)))
+                assert is_principal(g, [row[v] for row in lap])
 
     def test_nonzero_degree_rejected(self):
         with pytest.raises(InputError):
@@ -589,7 +590,7 @@ class TestGroupCombinators:
 
     def test_direct_sum_with_trivial(self):
         g = CriticalGroup((4, 12))
-        assert direct_sum(g, CriticalGroup.trivial()) == g
+        assert direct_sum(g, CriticalGroup()) == g
 
     def test_direct_sum_order_multiplies(self):
         rng = random.Random(3)
@@ -658,7 +659,7 @@ class TestPresentationAgainstWitnessOracles:
         divisors = data.draw(degree_zero_divisors(g, 4))
         # principal divisors too, which random ones almost never are
         firing = data.draw(st.lists(st.integers(-3, 3), min_size=g.vertex_count, max_size=g.vertex_count))
-        principal = laplacian(g).mul_vector(firing)
+        principal = [sum(map(operator.mul, row, firing)) for row in laplacian(g)]
         assert is_principal(g, principal)
         generators = data.draw(degree_zero_divisors(g, 3))
         assert_matches_oracles(g, divisors + [principal], generators)
@@ -750,9 +751,11 @@ class TestPresentationAgainstWitnessOracles:
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(connected_graphs(max_vertices=30), blown_up_graphs().filter(is_connected)))
     def test_rows_from_the_adjacency_give_the_dense_presentation(self, g):
-        # the same sparse rows, in the same order, as the kernel's adapter
-        # builds from reduced_laplacian(g, 0): identical orders and rows
-        dense = intlinalg._cokernel_mod_det(reduced_laplacian(g, 0))
+        # the same sparse rows, in the same order, as the nonzero entries of
+        # reduced_laplacian(g, 0): identical orders and rows
+        dense = intlinalg._cokernel_rows(
+            {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(reduced_laplacian(g, 0))}
+        )
         sandpile._reduced_snf.cache_clear()
         assert sandpile._reduced_snf(g) == sandpile._Presentation(*dense)
 

@@ -1,6 +1,7 @@
 """Tests for the verification harness and its brute-force oracles."""
 
 import itertools
+import operator
 import random
 import tracemalloc
 
@@ -40,6 +41,7 @@ from chipfire import (
 )
 from oracles import brute_force_spanning_trees
 from chipfire import sandpile, theorems
+from chipfire.graphs import MAX_COMPLETE_VERTICES, MAX_VERTICES
 from chipfire.theorems import _cone_laplacian_times, _restricted_char_value
 
 GOEL = Graph(6, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
@@ -302,7 +304,8 @@ class TestVerifyEigenvectors:
     def test_implicit_product_equals_explicit_laplacian(self, g, n, data):
         size = g.vertex_count + n
         x = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=size, max_size=size))
-        assert _cone_laplacian_times(g, n, x) == laplacian(cone(g, n)).mul_vector(x)
+        explicit = tuple(sum(map(operator.mul, row, x)) for row in laplacian(cone(g, n)))
+        assert _cone_laplacian_times(g, n, x) == explicit
 
     def test_large_cone_memory_is_linear(self):
         # the explicit cone Laplacian at n = 1024 holds about a million entries
@@ -387,6 +390,33 @@ class TestBruteForceSpanningTrees:
             assert brute_force_spanning_trees(g) == spanning_tree_count(g)
 
 
+class TestConeDifferenceDivisors:
+    @pytest.mark.parametrize("k, n", [(-5, 3), (0, 3), (3, 0), (3, -5)])
+    def test_sizes_below_one_rejected(self, k, n):
+        with pytest.raises(InputError):
+            cone_difference_divisors(k, n)
+
+    @pytest.mark.parametrize("k, n", [(3, MAX_COMPLETE_VERTICES + 1), (MAX_VERTICES, 1)])
+    def test_size_rules_checked_before_any_divisor(self, k, n, monkeypatch):
+        monkeypatch.setattr(theorems, "_cone_differences", None)
+        with pytest.raises(SizeError):
+            cone_difference_divisors(k, n)
+
+
+class Untouchable:
+    """Fails the test if it is used at all: an rng that must not be drawn
+    from, or a sequence that must not be read."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"read .{name} before the vertex budget was checked")
+
+    def __len__(self):
+        raise AssertionError("read the length before the vertex budget was checked")
+
+    def __iter__(self):
+        raise AssertionError("iterated before the vertex budget was checked")
+
+
 class TestRandomGenerators:
     def test_random_tree_is_tree(self):
         rng = random.Random(59)
@@ -421,6 +451,19 @@ class TestRandomGenerators:
         with pytest.raises(InputError):
             draw(random.Random(1))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda untouchable: random_tree(untouchable, 10**8),
+            lambda untouchable: random_connected_graph(untouchable, 10**5, 0.5),
+            lambda untouchable: tree_from_pruefer(untouchable, 10**8),
+        ],
+        ids=["random_tree", "random_connected_graph", "tree_from_pruefer"],
+    )
+    def test_vertex_budget_is_checked_before_drawing(self, build):
+        with pytest.raises(SizeError):
+            build(Untouchable())
+
     def test_determinism(self):
         assert random_tree(random.Random(5), 8) == random_tree(random.Random(5), 8)
         assert random_connected_graph(random.Random(5), 6) == random_connected_graph(
@@ -443,3 +486,8 @@ class TestRandomGenerators:
         for sequence, n in (((), 0), ((0,), 1), ((3,), 3)):
             with pytest.raises(InputError):
                 tree_from_pruefer(sequence, n)
+
+    @pytest.mark.parametrize("entry", [1.0, "1", None])
+    def test_pruefer_entries_must_be_integers(self, entry):
+        with pytest.raises(InputError, match="Pruefer entry"):
+            tree_from_pruefer([entry], 3)

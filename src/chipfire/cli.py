@@ -108,6 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves a parser unchanged, so one grammar serves every call
+_PARSER = build_parser()
+
+
 def _apply_cone(g: Graph, cone_size: Optional[int]) -> Graph:
     return g if cone_size is None else cone(g, cone_size)
 
@@ -266,8 +270,7 @@ def _emit(records: Sequence[dict], fmt: str, out) -> None:
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "verify":
             records, all_hold = _run_verify(args)

@@ -8,7 +8,7 @@ because joins of disconnected graphs are legitimate inputs.
 Every graph has at most MAX_VERTICES vertices, checked by ``Graph`` before it
 reads an edge, so no graph, join or cone above that budget allocates
 anything.  K_m is further capped at MAX_COMPLETE_VERTICES, and so is the n of
-a cone.
+a cone, whose one rule ``_check_cone_size`` also requires a positive int.
 """
 
 from __future__ import annotations
@@ -132,7 +132,12 @@ def _check_complete_size(m: int) -> None:
 
 
 def _check_cone_size(k: int, n: int) -> None:
-    """The size rules of ``cone(g, n)`` for |g| = k, checked before K_n exists."""
+    """The one cone-size rule, for ``cone(g, n)`` with |g| = k: an int n in
+    [1, MAX_COMPLETE_VERTICES] and k + n <= MAX_VERTICES, before K_n exists."""
+    if not isinstance(n, int):
+        raise InputError(f"cone size must be an integer, got {n!r}")
+    if n < 1:
+        raise InputError("cone size must be at least 1")
     _check_complete_size(n)
     if k + n > MAX_VERTICES:
         raise SizeError(
@@ -142,19 +147,18 @@ def _check_cone_size(k: int, n: int) -> None:
 
 
 def complete(m: int) -> Graph:
-    if m < 1:
-        raise InputError("complete graph needs at least one vertex")
+    _check_vertex_count(m)
     _check_complete_size(m)
     return Graph(m, [(i, j) for i in range(m) for j in range(i + 1, m)])
 
 
 def path(m: int) -> Graph:
-    if m < 1:
-        raise InputError("path needs at least one vertex")
+    _check_vertex_count(m)
     return Graph(m, [(i, i + 1) for i in range(m - 1)])
 
 
 def cycle(m: int) -> Graph:
+    _check_vertex_count(m)
     if m < 3:
         raise InputError("cycle needs at least three vertices")
     return Graph(m, [(i, (i + 1) % m) for i in range(m)])
@@ -180,8 +184,6 @@ def cone(g: Graph, n: int) -> Graph:
     above MAX_COMPLETE_VERTICES, or a cone above MAX_VERTICES, raises
     ``SizeError`` before K_n is built.
     """
-    if n < 1:
-        raise InputError("cone size must be at least 1")
     _check_cone_size(g.vertex_count, n)
     return join(g, complete(n))
 

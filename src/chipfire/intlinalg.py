@@ -57,8 +57,8 @@ class IntMatrix:
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
         entries = tuple(_check_int(e) for e in entries)
-        if rows < 0 or cols < 0:
-            raise InputError("matrix dimensions must be nonnegative")
+        if not (isinstance(rows, int) and isinstance(cols, int) and rows >= 0 and cols >= 0):
+            raise InputError("matrix dimensions must be nonnegative integers")
         if len(entries) != rows * cols:
             raise InputError(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import numbers
 import random
 from dataclasses import dataclass
 from functools import reduce
@@ -92,10 +93,9 @@ class TreeBoundReport(NamedTuple):
 
 def cone_difference_divisors(k: int, n: int) -> List[tuple]:
     """The n-1 degree-zero divisors on cone(g, n) of the form
-    (cone vertex i) - (first cone vertex); k, n >= 1 and ``cone``'s size
-    rules are checked before any divisor is built."""
-    if k < 1 or n < 1:
-        raise InputError(f"base and cone sizes must be at least 1, got k={k}, n={n}")
+    (cone vertex i) - (first cone vertex); k is checked as a vertex count and
+    n as a cone size before any divisor is built."""
+    _check_vertex_count(k)
     _check_cone_size(k, n)
     return list(_cone_differences(k, n))
 
@@ -115,15 +115,13 @@ def verify_cone_theorem(g: Graph, n: int) -> ConeSequenceReport:
     the quotient by them has order |P(-n)|, and decides whether the sequence
     splits for this instance.
     """
-    if n < 1:
-        raise InputError("cone size must be at least 1")
+    k = g.vertex_count
+    _check_cone_size(k, n)
     if not is_connected(g):
         raise NotConnectedError("cone theorem verification needs a connected base graph")
-    k = g.vertex_count
     coned = cone(g, n)
-    generators = cone_difference_divisors(k, n)
     pic0 = critical_group(coned)
-    subgroup, quotient_h = _subgroup_and_quotient(coned, generators)
+    subgroup, quotient_h = _subgroup_and_quotient(coned, _cone_differences(k, n))
     p_at_minus_n = abs(_restricted_char_value(g, -n))
     return ConeSequenceReport(
         base_vertices=k,
@@ -172,11 +170,9 @@ def verify_tree_bound(g: Graph, n: int) -> TreeBoundReport:
     """For a tree with l+1 leaves, H_n needs at most l generators."""
     if g.vertex_count < 2 or not is_tree(g):
         raise InputError("tree bound applies to trees with at least two vertices")
-    if n < 1:
-        raise InputError("cone size must be at least 1")
     leaf_count = len(leaves(g))
     coned = cone(g, n)
-    h_n = quotient_by_classes(coned, cone_difference_divisors(g.vertex_count, n))
+    h_n = quotient_by_classes(coned, _cone_differences(g.vertex_count, n))
     h_generators = len(h_n.invariant_factors)
     return TreeBoundReport(leaf_count, h_generators, h_generators <= leaf_count - 1)
 
@@ -209,8 +205,6 @@ def verify_eigenvectors(g: Graph, n: int) -> bool:
     the size of the cone.  The size rules are ``cone``'s own: an n above
     MAX_COMPLETE_VERTICES or k + n above MAX_VERTICES raises ``SizeError``.
     """
-    if n < 1:
-        raise InputError("cone size must be at least 1")
     k = g.vertex_count
     _check_cone_size(k, n)
     eigenvalue = n + k
@@ -270,7 +264,7 @@ def random_connected_graph(
     so an edge probability too small for the vertex count cannot hang.
     """
     _check_vertex_count(vertex_count)
-    if not 0.0 <= edge_probability <= 1.0:
+    if not isinstance(edge_probability, numbers.Real) or not 0.0 <= edge_probability <= 1.0:
         raise InputError("edge probability must lie in [0, 1]")
     if edge_probability == 0.0 and vertex_count > 1:
         raise InputError(

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import io
 import json
 import math
@@ -517,6 +518,22 @@ class TestRegressions:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: out of memory\n"
+
+    def test_parser_is_built_once_per_process(self, graph_file, monkeypatch):
+        p5 = graph_file("p5.txt", path(5))
+        assert run(["group", p5])[0] == 0
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run(["group", p5])[0] == 0
+        assert run(["verify", "eigen", p5, "-n", "2"])[0] == 0
+        assert built == []
+
 
 
 JUNK_TOKENS = st.sampled_from(["x", "1.5", "#", "--", "0x1", "-3", "15"])

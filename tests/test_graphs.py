@@ -1,5 +1,6 @@
 """Tests for graph construction, queries, and the edge-list format."""
 
+import random
 import re
 import tracemalloc
 
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 from chipfire import (
     Graph,
     InputError,
+    IntMatrix,
     SizeError,
     complete,
     cone,
+    cone_difference_divisors,
     cycle,
     format_edge_list,
     is_connected,
@@ -21,7 +24,11 @@ from chipfire import (
     leaves,
     parse_edge_list,
     path,
+    random_connected_graph,
+    random_tree,
+    verify_cone_theorem,
     verify_eigenvectors,
+    verify_tree_bound,
 )
 from oracles import has_conformity_property
 from chipfire.graphs import MAX_COMPLETE_VERTICES, MAX_VERTICES
@@ -304,3 +311,29 @@ class TestEdgeListFormat:
             parse_edge_list("-2 0\n")
         with pytest.raises(InputError, match=re.escape("edge (-1, 0) out of range")):
             parse_edge_list("2 1\n-1 0\n")
+
+
+SIZE_ENTRY_POINTS = {
+    "complete": complete,
+    "path": path,
+    "cycle": cycle,
+    "cone": lambda n: cone(path(3), n),
+    "cone_difference_divisors-k": lambda k: cone_difference_divisors(k, 2),
+    "cone_difference_divisors-n": lambda n: cone_difference_divisors(3, n),
+    "verify_cone_theorem": lambda n: verify_cone_theorem(path(3), n),
+    "verify_tree_bound": lambda n: verify_tree_bound(path(3), n),
+    "verify_eigenvectors": lambda n: verify_eigenvectors(path(3), n),
+    "random_tree": lambda m: random_tree(random.Random(0), m),
+    "random_connected_graph": lambda m: random_connected_graph(random.Random(0), m),
+    "random_connected_graph-p": lambda p: random_connected_graph(random.Random(0), 3, p),
+    "IntMatrix-rows": lambda m: IntMatrix(m, 1, []),
+    "IntMatrix-cols": lambda m: IntMatrix(1, m, []),
+}
+
+
+@pytest.mark.parametrize("size", [1.5, "3", None], ids=["float", "str", "None"])
+@pytest.mark.parametrize("call", SIZE_ENTRY_POINTS.values(), ids=list(SIZE_ENTRY_POINTS))
+def test_every_size_argument_is_checked_as_input(call, size):
+    # one rule per size: a non-int count is an InputError, never a TypeError
+    with pytest.raises(InputError):
+        call(size)

@@ -13,10 +13,12 @@ Z/2**e the pivot of least 2-adic valuation divides every entry of its
 column, so the reduction mod 2**e is exact for every matrix.  Up to a
 crossover of e, each column is packed into one int of wide slots, so a row
 elimination costs one big-int product per column and the interpreter loops
-over columns instead of entries.  A private kernel presents the cokernel
+over columns instead of entries; up to a lower crossover, the recurrence
+packs each polynomial the same way.  A private kernel presents the cokernel
 of a nonsingular matrix: it splits off exactly every pivot that divides its
-row and column, finishes the rest modulo its determinant, and keeps a row
-witness but no column witness.
+row and column, finishes the rest modulo its determinant, keeps no column
+witness, and logs its row operations and replays them only for factors of
+order >= 2.
 """
 
 from __future__ import annotations
@@ -280,6 +282,27 @@ def _xgcd(a: int, b: int) -> tuple:
     return a, s0, t0
 
 
+def _replay_exact(start: dict, sources: list, popped: list, order: int) -> tuple:
+    """The row y E_t ... E_1 mod order, y = start as {row: coefficient} and
+    E_1 .. E_t the exact row operations: sources[j] lists (i, c) for each
+    row j -= c * row i, and every i is in popped.
+
+    A row is a source only after every operation that changed it, when it
+    is popped, so walking popped backwards from the rows of start, which
+    come last, each row of y is final when reached and passes it on as
+    y[i] -= c * y[j].
+    """
+    y = [0] * len(sources)
+    for j, c in start.items():
+        y[j] = c
+    for j in reversed(popped):
+        if y[j]:
+            v = y[j] = y[j] % order
+            for i, c in sources[j]:
+                y[i] -= c * v
+    return tuple(y)
+
+
 def _cokernel_rows(rows: dict) -> tuple:
     """Orders and coordinate rows of coker a, for a nonsingular k x k matrix a
     given as sparse rows {i: {j: a_ij}} of its nonzero entries, i and j in
@@ -288,33 +311,42 @@ def _cokernel_rows(rows: dict) -> tuple:
 
     Returns (orders, rows): coker a is the direct sum of Z/o over the orders
     o >= 2, which need not form a divisibility chain, and the class of x has
-    coordinates (rows[i] . x) mod orders[i].  No column witness is built.
+    coordinates (rows[i] . x) mod orders[i].  No column witness is built,
+    and no row witness either: the kernel logs its row operations and
+    replays them only for factors of order >= 2.
 
     First, while some row has an entry d that divides every entry of its
     row and of its column (a +-1 entry always does; d then has the least
     absolute value in its row), multiples of its row clear its column and
     column operations, not tracked, clear its row.  That splits off Z/|d|
-    with coordinate row U_p mod |d| and leaves the same cokernel on the
-    other rows and columns.  These row operations are tracked exactly in U,
-    sparse rows keep the fill low, and the residual block R is small on
-    graph Laplacians: a class of twins leaves rows whose entries are
-    multiples of one of them, and those split off here.  With
-    tau = |det R|, tau * Z^r lies in im R, so coker R is (Z/tau)^r modulo
-    the columns of R mod tau.  R is finished mod tau by row operations
-    invertible mod tau (tracked in P) and column operations (not tracked):
-    a unit pivot clears its column with its inverse; otherwise the least
-    nonzero entry is the pivot, an entry it divides is cleared by plain
-    elimination, and any other is merged with it by a 2x2 extended-gcd
-    step, by rows in its column and by columns in its row.  A pivot d leaves
-    the factor Z/gcd(d, tau) with coordinate row (P U)_d, and a row that is
-    zero mod tau leaves Z/tau.
+    and leaves the same cokernel on the other rows and columns.  Sparse
+    rows keep the fill low, and the residual block R is small on graph
+    Laplacians: a class of twins leaves rows whose entries are multiples of
+    one of them, and those split off here.  With tau = |det R|,
+    tau * Z^r lies in im R, so coker R is (Z/tau)^r modulo the columns of
+    R mod tau.  R is finished mod tau by row operations invertible mod tau
+    and column operations (not tracked): a unit pivot clears its column
+    with its inverse; otherwise the least nonzero entry is the pivot, an
+    entry it divides is cleared by plain elimination, and any other is
+    merged with it by a 2x2 extended-gcd step, by rows in its column and by
+    columns in its row.  A pivot d leaves the factor Z/gcd(d, tau), and a
+    row that is zero mod tau leaves Z/tau.
+
+    The coordinate row of the factor split off at row p is e_p E_t ... E_1,
+    E_1 .. E_t the row operations done until then, mod its order; a factor
+    of R goes back through the operations mod tau and then through all the
+    exact ones.  Walking the log backwards, row dst -= c * row src becomes
+    y[src] -= c * y[dst].
     """
     k = len(rows)
     cols = {j: set() for j in range(k)}
     for i, row in rows.items():
         for j in row:
             cols[j].add(i)
-    u_rows = {i: {i: 1} for i in range(k)}
+    # the exact row operations, logged by row: sources[j] holds (i, c) for
+    # each row j -= c * row i; popped lists the pivot rows in order
+    sources = [[] for _ in range(k)]
+    popped = []
 
     # shortest row first, then its pivot in the shortest column; a row is
     # queued again whenever an elimination changes it
@@ -336,12 +368,16 @@ def _cokernel_rows(rows: dict) -> tuple:
         if not candidates:
             continue
         q = min(candidates, key=lambda j: len(cols[j]))
-        prow, pu = rows.pop(p), u_rows.pop(p)
+        prow = rows.pop(p)
         pivot = prow.pop(q)
         for j in prow:
             cols[j].discard(p)
+        popped.append(p)
+        if least > 1:  # column operations clear the rest of row p
+            orders.append(least)
+            out.append(_replay_exact({p: 1}, sources, popped, least))
         for i in cols.pop(q) - {p}:
-            row, u = rows[i], u_rows[i]
+            row = rows[i]
             c = row.pop(q) // pivot
             for j, x in prow.items():
                 y = row.get(j, 0) - c * x
@@ -352,35 +388,29 @@ def _cokernel_rows(rows: dict) -> tuple:
                 else:
                     del row[j]
                     cols[j].discard(i)
-            for j, x in pu.items():
-                y = u.get(j, 0) - c * x
-                if y:
-                    u[j] = y
-                else:
-                    del u[j]
+            sources[i].append((p, c))
             heapq.heappush(queue, (len(row), i))
-        if least > 1:  # column operations clear the rest of row p
-            orders.append(least)
-            out.append(tuple(pu.get(j, 0) % least for j in range(k)))
 
     left, top = sorted(rows), sorted(cols)
     r = len(left)
     if not r:
         return tuple(orders), tuple(out)
     tau = abs(determinant(IntMatrix(r, r, [rows[i].get(j, 0) for i in left for j in top])))
-    # row l is [R_l | P_l], P the row operations done mod tau
-    m = [
-        [rows[i].get(j, 0) % tau for j in top] + [int(l == c) for c in range(r)]
-        for l, i in enumerate(left)
-    ]
+    popped += left  # no exact operation has a residual row as its source
+    m = [[rows[i].get(j, 0) % tau for j in top] for i in left]
+    # the row operations mod tau: (dst, src, c) for row dst -= c * row src,
+    # (p, i, s, t, e, f) for rows (p, i) <- (s*p + t*i, e*i - f*p)
+    tau_log = []
 
-    def combine(dst, src, c):  # row dst -= c * row src, mod tau
+    def combine(dst, src, c):
         m[dst] = [(x - c * y) % tau for x, y in zip(m[dst], m[src])]
+        tau_log.append((dst, src, c))
 
-    def merge(p, i, s, t, e, f):  # rows (p, i) <- (s*p + t*i, e*i - f*p), mod tau
+    def merge(p, i, s, t, e, f):
         x, y = m[p], m[i]
         m[p] = [(s * v + t * w) % tau for v, w in zip(x, y)]
         m[i] = [(e * w - f * v) % tau for v, w in zip(x, y)]
+        tau_log.append((p, i, s, t, e, f))
 
     pivots = []  # (row, order) for every pivot that is not a unit
     active = list(range(r))
@@ -435,13 +465,17 @@ def _cokernel_rows(rows: dict) -> tuple:
     for p, order in pivots:
         if order == 1:
             continue
-        coords = [0] * k  # P_p times the exact U rows of the residual
-        for l, c in enumerate(m[p][r:]):
-            if c:
-                for j, x in u_rows[left[l]].items():
-                    coords[j] += c * x
+        y = [int(l == p) for l in range(r)]
+        for op in reversed(tau_log):
+            if len(op) == 3:  # row dst -= c * row src
+                dst, src, c = op
+                y[src] = (y[src] - c * y[dst]) % order
+            else:  # rows (a, b) <- (s*a + t*b, e*b - f*a)
+                a, b, s, t, e, f = op
+                y[a], y[b] = (s * y[a] - f * y[b]) % order, (t * y[a] + e * y[b]) % order
         orders.append(order)
-        out.append(tuple(x % order for x in coords))
+        start = {left[l]: c for l, c in enumerate(y) if c}
+        out.append(_replay_exact(start, sources, popped, order))
     return tuple(orders), tuple(out)
 
 
@@ -480,6 +514,8 @@ def determinant(a: IntMatrix) -> int:
 # Moduli of at most this many bits take the packed Hessenberg reduction,
 # wider ones the scalar one (see char_poly for the measurements).
 _PACKED_MAX_BITS = 300
+# The same choice for the Hessenberg recurrence, at its own crossover.
+_PACKED_RECURRENCE_MAX_BITS = 240
 
 
 def _hessenberg_scalar(rows: list, e: int) -> list:
@@ -580,11 +616,25 @@ def _hessenberg_packed(rows: list, e: int) -> list:
     return [[column >> t & mask for t in shifts[: c + 2]] for c, column in enumerate(cols)]
 
 
-def _char_poly_mod(rows: list, e: int) -> list:
-    """Ascending coefficients of det(xI - a) mod 2**e, a given as its rows:
-    one of the two Hessenberg reductions, chosen by e, then the recurrence."""
-    reduce = _hessenberg_packed if e <= _PACKED_MAX_BITS else _hessenberg_scalar
-    band = reduce(rows, e)
+def _recurrence_factors(band: list, k: int, mask: int):
+    """(i, f_i mod 2**e) for the nonzero terms f_i * P_i that step k of the
+    recurrence subtracts, f_i = h_ik * h_(k,k-1) * ... * h_(i+1,i)."""
+    column = band[k]
+    # rows above the first nonzero entry of column k add nothing
+    first = next((i for i in range(k) if column[i]), k)
+    product = 1  # h[k][k-1] * ... * h[i+1][i]
+    for i in range(k - 1, first - 1, -1):
+        product = product * band[i][i + 1] & mask
+        if not product:
+            return
+        factor = column[i] * product & mask
+        if factor:
+            yield i, factor
+
+
+def _recurrence_scalar(band: list, e: int) -> list:
+    """Ascending coefficients of det(xI - H) mod 2**e, H given by its band,
+    one int per coefficient."""
     mask = (1 << e) - 1
     # polys[k] = det(xI - H_k) for the leading k x k block of H
     polys = [[1]]
@@ -594,19 +644,43 @@ def _char_poly_mod(rows: list, e: int) -> list:
         current = [0] + prev  # x * prev, reduced mod 2**e once at the end
         for i, c in enumerate(prev):
             current[i] -= diag * c
-        # rows above the first nonzero entry of column k add nothing
-        first = next((i for i in range(k) if column[i]), k)
-        product = 1  # h[k][k-1] * ... * h[i+1][i]
-        for i in range(k - 1, first - 1, -1):
-            product = product * band[i][i + 1] & mask
-            if not product:
-                break
-            factor = column[i] * product & mask
-            if factor:
-                for d, c in enumerate(polys[i]):
-                    current[d] -= factor * c
+        for i, factor in _recurrence_factors(band, k, mask):
+            for d, c in enumerate(polys[i]):
+                current[d] -= factor * c
         polys.append([c & mask for c in current])
     return polys[-1]
+
+
+def _recurrence_packed(band: list, e: int) -> list:
+    """The coefficients of _recurrence_scalar, with each det(xI - H_k)
+    packed into one int, coefficient d mod 2**e in slot d.
+
+    The slots are as wide as _hessenberg_packed's, and before the mask each
+    slot is below 2**e + m * 2**(2e) <= 2**w, so no carry crosses a slot.
+    """
+    mask = (1 << e) - 1
+    m = len(band)
+    size = (2 * e + m.bit_length() + 8) // 8  # bytes per slot, w = 8 * size
+    w = 8 * size
+    masks = int.from_bytes(mask.to_bytes(size, "little") * (m + 1), "little")
+    polys = [1]
+    for k, column in enumerate(band):
+        prev = polys[k]
+        current = (prev << w) + (-column[k] & mask) * prev  # (x - h_kk) * P_k
+        for i, factor in _recurrence_factors(band, k, mask):
+            current += (-factor & mask) * polys[i]
+        polys.append(current & masks)
+    packed = polys[-1].to_bytes((m + 1) * size, "little")
+    return [int.from_bytes(packed[d * size : (d + 1) * size], "little") for d in range(m + 1)]
+
+
+def _char_poly_mod(rows: list, e: int) -> list:
+    """Ascending coefficients of det(xI - a) mod 2**e, a given as its rows:
+    one of the two Hessenberg reductions and one of the two recurrences,
+    each chosen by e."""
+    reduce = _hessenberg_packed if e <= _PACKED_MAX_BITS else _hessenberg_scalar
+    recur = _recurrence_packed if e <= _PACKED_RECURRENCE_MAX_BITS else _recurrence_scalar
+    return recur(reduce(rows, e), e)
 
 
 def char_poly(a: IntMatrix) -> IntPoly:
@@ -659,6 +733,33 @@ def char_poly(a: IntMatrix) -> IntPoly:
     scans, and the packed one loses a few ms there.  On the matrices above
     that fill in, the packed reduction won up to 298 bits and lost from
     305 bits on.
+
+    The recurrence P_(k+1) = (x - h_kk) P_k - sum_(i<k) f_i P_i, with
+    P_k = det(xI - H_k) for the leading k x k block and f_i = h_ik *
+    h_(k,k-1) * ... * h_(i+1,i), is packed the same way for
+    e <= _PACKED_RECURRENCE_MAX_BITS: P_k is one int with coefficient d
+    mod 2**e in slot d, of the reduction's width w, and a step is
+    (P_k << w) + (-h_kk mod 2**e) * P_k + sum_i (-f_i mod 2**e) * P_i,
+    masked once: one product per pair (k, i) instead of i + 1.  Only the
+    last polynomial is unpacked.  The recurrence alone on the bands of
+    Laplacians, scalar time / packed time, best of 5 (same guest):
+
+        star, 60                     e = 101   2.13
+        tree + 6 chords, 60          e = 121   2.42
+        tree, 90                     e = 174   1.65
+        path, 90                     e = 181   1.07
+        G(50, 0.3) plus a path       e = 208   1.39
+        star, 135                    e = 221   1.16
+        path, 119                    e = 239   1.02
+        path, 120                    e = 241   0.92
+        star, 149                    e = 243   0.97
+        G(58, 0.3) plus a path       e = 247   1.30
+        tree + 15 chords, 150        e = 300   1.07
+        path, 150                    e = 301   0.65 (3 ms scalar)
+
+    A sparse band (a path or a star) costs the scalar form about 2k
+    multiply-adds per step, and there the packed products, twice as wide,
+    lose from about 240 bits on; bands that fill in won up to 300 bits.
     """
     if not a.is_square:
         raise InputError(f"char_poly needs a square matrix, got {a.rows}x{a.cols}")

@@ -4,6 +4,7 @@ Each function here is a slower, independent route to a result that the
 library computes another way; tests assert that both agree.
 """
 
+import heapq
 import itertools
 import math
 from typing import Iterable, Sequence
@@ -19,7 +20,7 @@ from chipfire import (
     laplacian,
     reduced_laplacian,
 )
-from chipfire.intlinalg import SnfResult, _nearest_quotient
+from chipfire.intlinalg import SnfResult, _nearest_quotient, _xgcd
 from chipfire.sandpile import _check_degree_zero, _require_connected
 
 
@@ -187,6 +188,178 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
         v=IntMatrix.from_rows(v) if n else IntMatrix(0, 0, []),
         diagonal=diagonal,
     )
+
+
+# The Pic0 kernel with its row witness carried along: every exact row
+# operation also updates a sparse row of U, and every row mod tau carries
+# the operations done on it as [R | P].  The library logs its row
+# operations instead and replays them only for factors of order >= 2;
+# both must return identical orders and rows.
+
+
+def cokernel_rows_witnessed(rows: dict) -> tuple:
+    """Orders and coordinate rows of coker a, for a nonsingular k x k matrix a
+    given as sparse rows {i: {j: a_ij}} of its nonzero entries, i and j in
+    0..k-1, each row's keys in ascending order (the order breaks ties
+    between pivots).  The rows are consumed.
+
+    Returns (orders, rows): coker a is the direct sum of Z/o over the orders
+    o >= 2, which need not form a divisibility chain, and the class of x has
+    coordinates (rows[i] . x) mod orders[i].  No column witness is built.
+
+    First, while some row has an entry d that divides every entry of its
+    row and of its column (a +-1 entry always does; d then has the least
+    absolute value in its row), multiples of its row clear its column and
+    column operations, not tracked, clear its row.  That splits off Z/|d|
+    with coordinate row U_p mod |d| and leaves the same cokernel on the
+    other rows and columns.  These row operations are tracked exactly in U,
+    sparse rows keep the fill low, and the residual block R is small on
+    graph Laplacians: a class of twins leaves rows whose entries are
+    multiples of one of them, and those split off here.  With
+    tau = |det R|, tau * Z^r lies in im R, so coker R is (Z/tau)^r modulo
+    the columns of R mod tau.  R is finished mod tau by row operations
+    invertible mod tau (tracked in P) and column operations (not tracked):
+    a unit pivot clears its column with its inverse; otherwise the least
+    nonzero entry is the pivot, an entry it divides is cleared by plain
+    elimination, and any other is merged with it by a 2x2 extended-gcd
+    step, by rows in its column and by columns in its row.  A pivot d leaves
+    the factor Z/gcd(d, tau) with coordinate row (P U)_d, and a row that is
+    zero mod tau leaves Z/tau.
+    """
+    k = len(rows)
+    cols = {j: set() for j in range(k)}
+    for i, row in rows.items():
+        for j in row:
+            cols[j].add(i)
+    u_rows = {i: {i: 1} for i in range(k)}
+
+    # shortest row first, then its pivot in the shortest column; a row is
+    # queued again whenever an elimination changes it
+    orders, out = [], []
+    queue = [(len(row), i) for i, row in rows.items()]
+    heapq.heapify(queue)
+    while queue:
+        length, p = heapq.heappop(queue)
+        if p not in rows or len(rows[p]) != length:
+            continue
+        least = min(map(abs, rows[p].values()))
+        if least > 1 and any(x % least for x in rows[p].values()):
+            continue
+        candidates = [
+            j
+            for j, x in rows[p].items()
+            if abs(x) == least and (least == 1 or all(rows[i][j] % least == 0 for i in cols[j]))
+        ]
+        if not candidates:
+            continue
+        q = min(candidates, key=lambda j: len(cols[j]))
+        prow, pu = rows.pop(p), u_rows.pop(p)
+        pivot = prow.pop(q)
+        for j in prow:
+            cols[j].discard(p)
+        for i in cols.pop(q) - {p}:
+            row, u = rows[i], u_rows[i]
+            c = row.pop(q) // pivot
+            for j, x in prow.items():
+                y = row.get(j, 0) - c * x
+                if y:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = y
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            for j, x in pu.items():
+                y = u.get(j, 0) - c * x
+                if y:
+                    u[j] = y
+                else:
+                    del u[j]
+            heapq.heappush(queue, (len(row), i))
+        if least > 1:  # column operations clear the rest of row p
+            orders.append(least)
+            out.append(tuple(pu.get(j, 0) % least for j in range(k)))
+
+    left, top = sorted(rows), sorted(cols)
+    r = len(left)
+    if not r:
+        return tuple(orders), tuple(out)
+    tau = abs(determinant(IntMatrix(r, r, [rows[i].get(j, 0) for i in left for j in top])))
+    # row l is [R_l | P_l], P the row operations done mod tau
+    m = [
+        [rows[i].get(j, 0) % tau for j in top] + [int(l == c) for c in range(r)]
+        for l, i in enumerate(left)
+    ]
+
+    def combine(dst, src, c):  # row dst -= c * row src, mod tau
+        m[dst] = [(x - c * y) % tau for x, y in zip(m[dst], m[src])]
+
+    def merge(p, i, s, t, e, f):  # rows (p, i) <- (s*p + t*i, e*i - f*p), mod tau
+        x, y = m[p], m[i]
+        m[p] = [(s * v + t * w) % tau for v, w in zip(x, y)]
+        m[i] = [(e * w - f * v) % tau for v, w in zip(x, y)]
+
+    pivots = []  # (row, order) for every pivot that is not a unit
+    active = list(range(r))
+    while active:
+        pivot = next(
+            (
+                (i, j)
+                for i in active
+                for j in range(r)
+                if m[i][j] and math.gcd(m[i][j], tau) == 1
+            ),
+            None,
+        )
+        if pivot is not None:
+            p, q = pivot
+            inv = pow(m[p][q], -1, tau)
+            active.remove(p)
+            for i in active:
+                if m[i][q]:
+                    combine(i, p, m[i][q] * inv % tau)
+            continue
+        entries = [(m[i][j], i, j) for i in active for j in range(r) if m[i][j]]
+        if not entries:
+            break
+        _, p, q = min(entries)
+        active.remove(p)
+        while True:
+            for i in active:
+                b = m[i][q]
+                if not b:
+                    continue
+                d = m[p][q]
+                if b % d == 0:
+                    combine(i, p, b // d)
+                else:
+                    g, s, t = _xgcd(d, b)
+                    merge(p, i, s, t, d // g, b // g)
+            d = m[p][q]
+            j = next((j for j in range(r) if j != q and m[p][j] % d), None)
+            if j is None:
+                break
+            # column step on (q, j); column q is zero outside row p
+            b = m[p][j]
+            g, s, t = _xgcd(d, b)
+            e, f = d // g, b // g
+            for row in [m[i] for i in active] + [m[p]]:
+                v, w = row[q], row[j]
+                row[q], row[j] = (s * v + t * w) % tau, (e * w - f * v) % tau
+        pivots.append((p, math.gcd(m[p][q], tau)))
+    pivots += [(i, tau) for i in active]
+
+    for p, order in pivots:
+        if order == 1:
+            continue
+        coords = [0] * k  # P_p times the exact U rows of the residual
+        for l, c in enumerate(m[p][r:]):
+            if c:
+                for j, x in u_rows[left[l]].items():
+                    coords[j] += c * x
+        orders.append(order)
+        out.append(tuple(x % order for x in coords))
+    return tuple(orders), tuple(out)
 
 
 # Canonical forms of direct sums of cyclic groups.  The library sweeps the

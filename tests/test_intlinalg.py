@@ -23,6 +23,7 @@ from chipfire import (
     determinant,
     intlinalg,
     laplacian,
+    path,
     poly_divide_by_x,
     poly_eval,
     random_connected_graph,
@@ -343,9 +344,12 @@ class TestCokernelModDeterminant:
 
     @staticmethod
     def assert_presents_cokernel(a):
-        orders, rows = intlinalg._cokernel_rows(
-            {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(a)}
-        )
+        def sparse_rows():
+            return {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(a)}
+
+        orders, rows = intlinalg._cokernel_rows(sparse_rows())
+        # the replayed rows are the ones the witnessed kernel carries along
+        assert (orders, rows) == oracles.cokernel_rows_witnessed(sparse_rows())
         k = a.rows
         assert all(o >= 2 for o in orders)
         assert math.prod(orders) == abs(determinant(a))
@@ -406,6 +410,29 @@ class TestCokernelModDeterminant:
         assert intlinalg._cokernel_rows({}) == ((), ())
         assert intlinalg._cokernel_rows({0: {0: 2, 1: 3}, 1: {0: 1, 1: 2}}) == ((), ())
         assert intlinalg._cokernel_rows({0: {0: 5}}) == ((5,), ((1,),))
+
+    def test_coordinate_rows_are_replayed_once_per_factor(self, monkeypatch):
+        # no row witness: the log of row operations is replayed once for
+        # each factor of order >= 2, so never on a path, whose Pic0 is
+        # trivial, once on a cycle and 10 times on K_12, (Z/12)^10
+        starts = []
+        real = intlinalg._replay_exact
+
+        def spy(start, *args):
+            starts.append(start)
+            return real(start, *args)
+
+        monkeypatch.setattr(intlinalg, "_replay_exact", spy)
+        for g, factors in ((path(300), 0), (cycle(300), 1), (complete(12), 10)):
+            starts.clear()
+            a = reduced_laplacian(g, 0)
+            orders, _ = intlinalg._cokernel_rows(
+                {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(a)}
+            )
+            assert len(orders) == len(starts) == factors
+            assert CriticalGroup.from_cyclic_orders(orders) == CriticalGroup.from_diagonal(
+                smith_normal_form(a).diagonal
+            )
 
 
 class TestCharPolyModularEdgeCases:
@@ -525,10 +552,12 @@ class TestCharPolyOneLane:
 
 @contextlib.contextmanager
 def recorded_reductions():
-    """Records (name, e) for every call of the two Hessenberg reductions."""
+    """Records (name, e) for every call of the two Hessenberg reductions
+    and the two recurrences."""
     calls = []
+    names = ("_hessenberg_packed", "_hessenberg_scalar", "_recurrence_packed", "_recurrence_scalar")
     with pytest.MonkeyPatch.context() as monkeypatch:
-        for name in ("_hessenberg_packed", "_hessenberg_scalar"):
+        for name in names:
             real = getattr(intlinalg, name)
 
             def spy(rows, e, name=name, real=real):
@@ -540,6 +569,7 @@ def recorded_reductions():
 
 
 CROSSOVER = intlinalg._PACKED_MAX_BITS
+RECURRENCE_CROSSOVER = intlinalg._PACKED_RECURRENCE_MAX_BITS
 
 
 def assert_reductions_agree(a, e):
@@ -564,7 +594,10 @@ class TestPackedReduction:
     @settings(max_examples=200, deadline=None)
     @given(
         st.one_of(matrices_rich_in_powers_of_two(), square_matrices()),
-        st.sampled_from((None, 8, 65, CROSSOVER - 1, CROSSOVER, CROSSOVER + 1, CROSSOVER + 101)),
+        st.sampled_from(
+            (None, 8, 65, RECURRENCE_CROSSOVER, RECURRENCE_CROSSOVER + 1)
+            + (CROSSOVER - 1, CROSSOVER, CROSSOVER + 1, CROSSOVER + 101)
+        ),
     )
     def test_random_matrices(self, a, e):
         # None is the modulus char_poly would use; the fixed widths are
@@ -602,23 +635,76 @@ class TestPackedReduction:
                 assert_reductions_agree(a, e)
 
     def test_benchmark_sized_laplacians_take_the_packed_reduction(self):
-        # no Laplacian on at most 40 vertices has a wider modulus than K_40's
+        # no Laplacian on at most 40 vertices has a wider modulus than
+        # K_40's, so they take the packed recurrence too
         graphs = [random_connected_graph(random.Random(n), n, 0.3) for n in (22, 31, 40)]
         graphs += [cone(random_connected_graph(random.Random(1), 26, 0.3), 2), complete(40)]
         for g in graphs:
             a = laplacian(g)
+            e = modulus_bits(a)
             with recorded_reductions() as calls:
                 result = char_poly(a)
-            assert calls == [("_hessenberg_packed", modulus_bits(a))]
+            assert calls == [("_hessenberg_packed", e), ("_recurrence_packed", e)]
             assert result == oracles.char_poly(a)
-        assert modulus_bits(laplacian(complete(40))) <= CROSSOVER
+        assert modulus_bits(laplacian(complete(40))) <= RECURRENCE_CROSSOVER < CROSSOVER
 
     def test_a_200_cycle_takes_the_scalar_reduction(self):
         a = laplacian(cycle(200))
+        e = modulus_bits(a)
         with recorded_reductions() as calls:
             char_poly(a)
-        assert calls == [("_hessenberg_scalar", modulus_bits(a))]
-        assert modulus_bits(a) > CROSSOVER
+        assert calls == [("_hessenberg_scalar", e), ("_recurrence_scalar", e)]
+        assert e == 402 > CROSSOVER
+
+    def test_a_path_just_above_the_recurrence_crossover_takes_the_scalar_recurrence(self):
+        n = next(n for n in range(2, 200) if modulus_bits(laplacian(path(n))) > RECURRENCE_CROSSOVER)
+        a = laplacian(path(n))
+        e = modulus_bits(a)
+        with recorded_reductions() as calls:
+            result = char_poly(a)
+        assert calls == [("_hessenberg_packed", e), ("_recurrence_scalar", e)]
+        assert e <= RECURRENCE_CROSSOVER + 4
+        # the packed recurrence on the same band gives the same coefficients
+        rows = a.to_rows()
+        band = intlinalg._hessenberg_packed(rows, e)
+        assert intlinalg._recurrence_packed(band, e) == intlinalg._char_poly_mod(rows, e)
+        # minus the trace, and n times the one spanning tree
+        assert result.coefficients[-2] == -2 * (n - 1)
+        assert result.coefficients[:2] == (0, (-1) ** (n - 1) * n)
+
+
+@st.composite
+def bands(draw, e):
+    """Hessenberg bands of 0-30 columns: random residues mod 2**e mixed
+    with 0, 1 and 2**e - 1."""
+    m = draw(st.integers(0, 30))
+    top = (1 << e) - 1
+    entry = st.one_of(st.sampled_from((0, 1, top)), st.integers(0, top))
+    return [[draw(entry) for _ in range(min(c + 2, m))] for c in range(m)]
+
+
+class TestPackedRecurrence:
+    """The packed Hessenberg recurrence (one int per polynomial) against
+    the scalar one, called directly with e on both sides of its crossover."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(
+            (8, 65, RECURRENCE_CROSSOVER - 1, RECURRENCE_CROSSOVER, RECURRENCE_CROSSOVER + 1, 300, 301)
+        ).flatmap(lambda e: st.tuples(st.just(e), bands(e)))
+    )
+    def test_random_bands(self, e_band):
+        e, band = e_band
+        assert intlinalg._recurrence_packed(band, e) == intlinalg._recurrence_scalar(band, e)
+
+    def test_largest_slot_sums(self):
+        # every entry 2**e - 1 = -1: no product vanishes, so step k adds
+        # k + 1 products of two residues below 2**e into each slot; eight
+        # consecutive e fill the last byte of a slot in every way
+        for m in range(41):
+            for e in (8, 65, *range(RECURRENCE_CROSSOVER - 3, RECURRENCE_CROSSOVER + 5)):
+                band = [[(1 << e) - 1] * min(c + 2, m) for c in range(m)]
+                assert intlinalg._recurrence_packed(band, e) == intlinalg._recurrence_scalar(band, e)
 
 
 class TestPolyOps:

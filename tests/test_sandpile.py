@@ -11,7 +11,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -758,6 +758,31 @@ class TestPresentationAgainstWitnessOracles:
         )
         sandpile._reduced_snf.cache_clear()
         assert sandpile._reduced_snf(g) == sandpile._Presentation(*dense)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(
+            connected_graphs(max_vertices=30),
+            blown_up_graphs().filter(is_connected),
+            st.builds(cone, connected_graphs(max_vertices=12), st.integers(1, 12)),
+            st.builds(complete, st.integers(1, 40)),
+        ).map(lambda g: [list(row) for row in reduced_laplacian(g, 0)])
+    )
+    # the nonsingular matrices written out in TestCokernelModDeterminant
+    @example([[3, 4], [3, 8]])
+    @example([[2, 0], [2, 4]])
+    @example([[2, 2], [1, 3]])
+    @example([[2, 3], [1, 2]])
+    @example([[5]])
+    @example([])
+    def test_replayed_rows_are_the_witnessed_rows(self, a):
+        # the same sparse rows into the kernel that replays its row
+        # operations and into the one that carries a row witness: identical
+        # orders and rows
+        def sparse_rows():
+            return {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(a)}
+
+        assert intlinalg._cokernel_rows(sparse_rows()) == oracles.cokernel_rows_witnessed(sparse_rows())
 
     def test_presentation_builds_no_dense_laplacian(self, monkeypatch):
         monkeypatch.setattr(sandpile, "laplacian", None)

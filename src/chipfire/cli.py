@@ -24,6 +24,7 @@ from typing import Iterable, List, Optional, Sequence
 
 from .errors import InputError, NotConnectedError, SizeError
 from .graphs import Graph, cone, join, read_edge_list
+from .intlinalg import _decimal
 from .sandpile import char_poly_restricted, critical_group
 from .theorems import (
     ConeSequenceReport,
@@ -131,7 +132,7 @@ def _load(path: str, cone_size: Optional[int]) -> tuple:
 
 
 def _decimals(values: Iterable[int]) -> list:
-    return [str(x) for x in values]
+    return [_decimal(x) for x in values]
 
 
 def _group_result(g: Graph) -> dict:
@@ -142,8 +143,8 @@ def _group_result(g: Graph) -> dict:
         "edges": g.edge_count,
         "invariant_factors": _decimals(group.invariant_factors),
         "group": str(group),
-        "order": str(group.order),
-        "spanning_trees": str(abs(poly.coefficients[0]) // g.vertex_count),  # |P(0)| = k * tau
+        "order": _decimal(group.order),
+        "spanning_trees": _decimal(abs(poly.coefficients[0]) // g.vertex_count),  # |P(0)| = k * tau
         "char_poly": _decimals(poly.coefficients),
         "char_poly_str": str(poly),
     }
@@ -158,11 +159,11 @@ def _cone_report_result(report: ConeSequenceReport) -> dict:
         "base_vertices": report.base_vertices,
         "cone_size": report.cone_size,
         "pic0_factors": _decimals(report.pic0.invariant_factors),
-        "pic0_order": str(report.pic0.order),
+        "pic0_order": _decimal(report.pic0.order),
         "subgroup_factors": _decimals(report.subgroup.invariant_factors),
         "quotient_factors": _decimals(report.quotient_h.invariant_factors),
-        "quotient_order": str(report.quotient_h.order),
-        "p_at_minus_n": str(report.p_at_minus_n),
+        "quotient_order": _decimal(report.quotient_h.order),
+        "p_at_minus_n": _decimal(report.p_at_minus_n),
         "order_formula_holds": report.order_formula_holds,
         "subgroup_is_expected": report.subgroup_is_expected,
         "splits": report.splits,
@@ -175,8 +176,8 @@ def _join_report_result(report: JoinOrderReport) -> dict:
     return {
         "factor_vertex_counts": list(report.factor_vertex_counts),
         "total_vertices": report.total_vertices,
-        "lhs": str(report.lhs),
-        "rhs": str(report.rhs),
+        "lhs": _decimal(report.lhs),
+        "rhs": _decimal(report.rhs),
         "holds": report.holds,
     }
 

@@ -7,7 +7,10 @@ fraction-free determinant, and an exact characteristic polynomial computed by
 one Hessenberg reduction modulo 2**e, where 2**e exceeds twice the bound
 prod_i (1 + ceil(|row_i|_2)) on every coefficient.  That bound holds because
 the coefficient of x^(m-j) is a signed sum of j x j principal minors and
-Hadamard's inequality bounds each of them.  Similarity transforms and the
+Hadamard's inequality bounds each of them.  The lane runs on a - sI, with
+s = trace // m, whenever that matrix has the narrower bound (on a Laplacian
+the diagonal dominates every row), and an exact Taylor shift x -> x - s over
+Z takes its polynomial back to det(xI - a).  Similarity transforms and the
 Hessenberg recurrence are identities over any commutative ring, and in
 Z/2**e the pivot of least 2-adic valuation divides every entry of its
 column, so the reduction mod 2**e is exact for every matrix.  Up to a
@@ -41,6 +44,23 @@ __all__ = [
     "poly_eval",
     "poly_divide_by_x",
 ]
+
+
+# ints of at most this many bits have at most 3914 decimal digits, below the
+# 4300 that CPython (3.11 and later) converts with str() by default
+_STR_BITS = 13_000
+
+
+def _decimal(x: int) -> str:
+    """str(x) for an int of any size: above _STR_BITS bits, the digits are
+    split at a power of ten and each half converted on its own."""
+    if x.bit_length() <= _STR_BITS:
+        return str(x)
+    if x < 0:
+        return "-" + _decimal(-x)
+    k = x.bit_length() * 3 // 20  # about half the digits, log10(2) > 0.3
+    high, low = divmod(x, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
 
 
 def _check_int(value) -> int:
@@ -150,10 +170,10 @@ class IntPoly:
             sign = "-" if c < 0 else "+"
             mag = abs(c)
             if power == 0:
-                body = str(mag)
+                body = _decimal(mag)
             else:
                 x = "x" if power == 1 else f"x^{power}"
-                body = x if mag == 1 else f"{mag}*{x}"
+                body = x if mag == 1 else f"{_decimal(mag)}*{x}"
             if not terms:
                 terms.append(body if c > 0 else f"-{body}")
             else:
@@ -700,6 +720,19 @@ def char_poly(a: IntMatrix) -> IntPoly:
     every coefficient is at most e_j(row norms) <= B < 2**(e-1), and the
     symmetric residues modulo 2**e are the exact coefficients.
 
+    The argument holds for any integer matrix, so the lane may run on
+    a - sI instead, with s = trace // m (floor division; s = 0 for m = 0):
+    det(xI - a) = det((x - s)I - (a - sI)), so with Q(y) = det(yI - (a - sI))
+    from the lane, P(x) = Q(x - s) follows from an exact Taylor shift over Z,
+    m(m + 1)/2 updates q_j -= s * q_(j+1).  The bound B' of a - sI differs
+    from B only in the diagonal term of each row's sum of squares, so it
+    costs O(m) more, and the lane takes a - sI only when the bit length of
+    2B' is below e, so no matrix gets a wider modulus.  On a Laplacian the
+    diagonal dominates: row v has norm sqrt(d_v^2 + d_v), and about
+    sqrt(d_v) after subtracting the mean degree, so dense G(40, 0.3) goes
+    from about 150 to 102 bits and a cycle from 2m + 2 to about 1.59m.
+    Below, e is always the modulus the lanes receive, the narrower one.
+
     The reduction runs in one of two forms with the same pivots and the
     same entries.  For e <= _PACKED_MAX_BITS, column c is one int C_c of m
     slots of w = 8 * ceil((2e + bitlen(m) + 1) / 8) bits, one entry mod 2**e
@@ -713,26 +746,33 @@ def char_poly(a: IntMatrix) -> IntPoly:
     O(m) big-int operations instead of O(m^2) interpreted ones, but its
     products do twice the digit work of the scalar form (the slots are 2e
     bits wide), so wider moduli keep one int per entry.  The reductions
-    alone on Laplacians, scalar time / packed time, best of 3 (Python 3.11,
-    shared 2-vCPU guest); trees are random recursive trees:
+    alone on centered Laplacians, scalar time / packed time, best of 5
+    alternating runs (Python 3.11, shared 2-vCPU guest); trees are random
+    recursive trees:
 
-        G(58, 0.3) plus a path       e = 245   1.62
-        G(66, 0.3) plus a path       e = 295   1.14
-        G(74, 0.3) plus a path       e = 342   1.16
-        G(82, 0.3) plus a path       e = 396   0.99
-        tree + 11 chords, 116        e = 233   1.59
-        tree + 14 chords, 148        e = 297   1.25
-        tree + 15 chords, 152        e = 305   0.98
-        tree + 16 chords, 164        e = 329   0.82
-        tree, 154                    e = 298   1.13
-        tree, 158                    e = 305   0.78
-        tree, 200                    e = 386   0.71
-        path, 140                    e = 281   0.49 (4 ms scalar)
+        G(82, 0.3) plus a path       e = 244   1.97
+        G(90, 0.3) plus a path       e = 272   1.84
+        G(100, 0.3) plus a path      e = 302   1.46
+        G(105, 0.3) plus a path      e = 323   1.30
+        G(115, 0.3) plus a path      e = 364   1.19
+        G(125, 0.3) plus a path      e = 403   1.06
+        tree + 14 chords, 148        e = 252   1.37
+        tree + 16 chords, 164        e = 278   1.33
+        tree + 18 chords, 180        e = 305   1.06
+        tree + 20 chords, 200        e = 338   1.06
+        tree + 22 chords, 220        e = 370   0.87
+        tree, 180                    e = 264   1.06
+        tree, 200                    e = 293   1.11
+        tree, 220                    e = 326   1.00
+        tree, 250                    e = 367   0.82
+        path, 190                    e = 301   0.47 (7 ms scalar)
 
     A path is already in Hessenberg form, so its scalar reduction only
-    scans, and the packed one loses a few ms there.  On the matrices above
-    that fill in, the packed reduction won up to 298 bits and lost from
-    305 bits on.
+    scans, and the packed one loses a few ms there.  Centering lets a
+    dense matrix reach the same e only at a larger m, where the packed form
+    saves more interpreted steps: dense ones won up to 403 bits, but trees
+    broke even from about 305 bits on and lost from 367, so the crossover
+    stays at 300 bits.
 
     The recurrence P_(k+1) = (x - h_kk) P_k - sum_(i<k) f_i P_i, with
     P_k = det(xI - H_k) for the leading k x k block and f_i = h_ik *
@@ -742,38 +782,72 @@ def char_poly(a: IntMatrix) -> IntPoly:
     (P_k << w) + (-h_kk mod 2**e) * P_k + sum_i (-f_i mod 2**e) * P_i,
     masked once: one product per pair (k, i) instead of i + 1.  Only the
     last polynomial is unpacked.  The recurrence alone on the bands of
-    Laplacians, scalar time / packed time, best of 5 (same guest):
+    centered Laplacians, scalar time / packed time, best of 5 alternating
+    runs (same guest):
 
-        star, 60                     e = 101   2.13
-        tree + 6 chords, 60          e = 121   2.42
-        tree, 90                     e = 174   1.65
-        path, 90                     e = 181   1.07
-        G(50, 0.3) plus a path       e = 208   1.39
-        star, 135                    e = 221   1.16
-        path, 119                    e = 239   1.02
-        path, 120                    e = 241   0.92
-        star, 149                    e = 243   0.97
-        G(58, 0.3) plus a path       e = 247   1.30
-        tree + 15 chords, 150        e = 300   1.07
-        path, 150                    e = 301   0.65 (3 ms scalar)
+        star, 135                    e = 143   2.46
+        star, 230                    e = 238   2.21
+        star, 240                    e = 248   1.83
+        path, 90                     e = 143   1.80
+        path, 120                    e = 191   1.36
+        path, 150                    e = 238   1.08
+        path, 152                    e = 241   1.04
+        path, 160                    e = 254   0.81
+        path, 190                    e = 301   0.68 (7 ms scalar)
+        tree, 150                    e = 222   1.39
+        tree, 180                    e = 264   1.18
+        tree + 14 chords, 148        e = 252   1.24
+        tree + 18 chords, 180        e = 305   1.26
+        G(74, 0.3) plus a path       e = 217   1.44
+        G(90, 0.3) plus a path       e = 272   1.34
+        G(100, 0.3) plus a path      e = 302   1.25
 
-    A sparse band (a path or a star) costs the scalar form about 2k
-    multiply-adds per step, and there the packed products, twice as wide,
-    lose from about 240 bits on; bands that fill in won up to 300 bits.
+    A path's band costs the scalar form about 2k multiply-adds per step,
+    and there the packed products, twice as wide, lose from about 250 bits
+    on; bands that fill in won up to 305 bits, so the crossover stays at
+    240 bits.
     """
     if not a.is_square:
         raise InputError(f"char_poly needs a square matrix, got {a.rows}x{a.cols}")
-    rows = a.to_rows()
-    bound = 1
-    for row in rows:
+    return _char_poly_rows(a.to_rows())
+
+
+def _ceil_norm(squares: int) -> int:
+    """ceil(sqrt(squares)) for a sum of squares >= 0."""
+    return math.isqrt(squares - 1) + 1 if squares else 0
+
+
+def _char_poly_rows(rows: list) -> IntPoly:
+    """char_poly of the square matrix given as its rows, which are consumed.
+
+    With s = trace // m, the bound B' of a - sI differs from B only in the
+    diagonal term of each row's sum of squares; when its modulus is
+    narrower, the lane runs on a - sI and P(x) = Q(x - s) follows from a
+    Taylor shift over Z.
+    """
+    m = len(rows)
+    s = sum(row[i] for i, row in enumerate(rows)) // m if m else 0
+    bound = centered = 1
+    for i, row in enumerate(rows):
         squares = sum(x * x for x in row)
-        norm_ceiling = math.isqrt(squares - 1) + 1 if squares else 0
-        bound *= 1 + norm_ceiling
-    e = (2 * bound).bit_length()
+        d = row[i]
+        bound *= 1 + _ceil_norm(squares)
+        centered *= 1 + _ceil_norm(squares - d * d + (d - s) * (d - s))
+    e, narrower = (2 * bound).bit_length(), (2 * centered).bit_length()
+    if narrower < e:
+        e = narrower
+        for i, row in enumerate(rows):
+            row[i] -= s
+    else:
+        s = 0
     modulus = 1 << e
-    return IntPoly(
-        [c - modulus if 2 * c >= modulus else c for c in _char_poly_mod(rows, e)]
-    )
+    q = [c - modulus if 2 * c >= modulus else c for c in _char_poly_mod(rows, e)]
+    if s:  # q(y) = det(yI - (a - sI)); P(x) = q(x - s)
+        for i in range(m):
+            c = q[m]
+            for j in range(m - 1, i - 1, -1):
+                c = q[j] = q[j] - s * c
+    return IntPoly(q)
 
 
 def poly_eval(p: IntPoly, x: int) -> int:

@@ -38,8 +38,9 @@ from .graphs import Graph, is_connected
 from .intlinalg import (
     IntMatrix,
     IntPoly,
+    _char_poly_rows,
     _cokernel_rows,
-    char_poly,
+    _decimal,
     determinant,
     poly_divide_by_x,
     smith_normal_form,
@@ -79,7 +80,10 @@ class CriticalGroup:
                 raise InputError(f"invariant factor {d!r} must be an integer >= 2")
         for a, b in zip(factors, factors[1:]):
             if b % a != 0:
-                raise InputError(f"invariant factors must form a divisibility chain: {a} does not divide {b}")
+                raise InputError(
+                    "invariant factors must form a divisibility chain: "
+                    f"{_decimal(a)} does not divide {_decimal(b)}"
+                )
         object.__setattr__(self, "invariant_factors", factors)
 
     @property
@@ -119,19 +123,26 @@ class CriticalGroup:
     def __str__(self):
         if self.is_trivial:
             return "trivial"
-        return " x ".join(f"Z/{d}" for d in self.invariant_factors)
+        return " x ".join(f"Z/{_decimal(d)}" for d in self.invariant_factors)
+
+
+def _laplacian_rows(g: Graph) -> list:
+    """The rows of L, from the degrees and neighbours."""
+    n = g.vertex_count
+    rows = []
+    for v in range(n):
+        row = [0] * n
+        neighbors = g.neighbors(v)
+        for w in neighbors:
+            row[w] = -1
+        row[v] = len(neighbors)
+        rows.append(row)
+    return rows
 
 
 def laplacian(g: Graph) -> IntMatrix:
     """Degree matrix minus adjacency matrix."""
-    n = g.vertex_count
-    rows = [[0] * n for _ in range(n)]
-    for v in range(n):
-        rows[v][v] = g.degree(v)
-    for u, v in g.edges:
-        rows[u][v] = -1
-        rows[v][u] = -1
-    return IntMatrix.from_rows(rows)
+    return IntMatrix.from_rows(_laplacian_rows(g))
 
 
 def _require_connected(g: Graph):
@@ -201,7 +212,7 @@ def char_poly_restricted(g: Graph) -> IntPoly:
     constant polynomial 1.
     """
     _require_connected(g)
-    return poly_divide_by_x(char_poly(laplacian(g)))
+    return poly_divide_by_x(_char_poly_rows(_laplacian_rows(g)))
 
 
 def _check_divisor(g: Graph, d: Sequence[int]) -> tuple:

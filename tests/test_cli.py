@@ -14,8 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chipfire import (
+    ConeSequenceReport,
     CriticalGroup,
     Graph,
+    InputError,
+    IntPoly,
+    JoinOrderReport,
     complete,
     cone,
     format_edge_list,
@@ -518,6 +522,46 @@ class TestRegressions:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: out of memory\n"
+
+    @pytest.mark.parametrize(
+        "big, digits, five_times",
+        [
+            (10**5000, "1" + "0" * 5000, "5" + "0" * 5000),
+            (10**4300 - 1, "9" * 4300, "4" + "9" * 4299 + "5"),
+        ],
+        ids=["10**5000", "10**4300-1"],
+    )
+    def test_integers_past_the_str_digit_limit_are_written_out(
+        self, graph_file, monkeypatch, big, digits, five_times
+    ):
+        # str() refuses ints of more than 4300 digits on Python >= 3.11;
+        # every decimal field goes through one converter that splits them
+        assert cli._decimals([big, -big, 7]) == [digits, "-" + digits, "7"]
+        assert str(CriticalGroup((big,))) == f"Z/{digits}"
+        assert str(IntPoly([big, 1])) == f"x + {digits}"
+        assert str(IntPoly([0, -big])) == f"-{digits}*x"
+        with pytest.raises(InputError, match="does not divide"):
+            CriticalGroup((big, big + 1))
+
+        p5 = graph_file("p5.txt", path(5))
+        monkeypatch.setattr(cli, "critical_group", lambda g: CriticalGroup((big,)))
+        monkeypatch.setattr(cli, "char_poly_restricted", lambda g: IntPoly([5 * big, 1]))
+        code, records = run_json(["group", p5])
+        assert code == 0
+        result = records[0]["result"]
+        assert result["invariant_factors"] == [digits] and result["group"] == f"Z/{digits}"
+        assert result["order"] == result["spanning_trees"] == digits
+        assert result["char_poly"] == [five_times, "1"]
+        assert result["char_poly_str"] == f"x + {five_times}"
+
+        group = CriticalGroup((big,))
+        report = ConeSequenceReport(5, 3, group, group, group, big, True, True, True, 1)
+        cone_result = cli._cone_report_result(report)
+        assert cone_result["pic0_factors"] == [digits]
+        assert cone_result["pic0_order"] == cone_result["quotient_order"] == digits
+        assert cone_result["p_at_minus_n"] == digits
+        join_result = cli._join_report_result(JoinOrderReport((2, 3), 5, big, -big, False))
+        assert (join_result["lhs"], join_result["rhs"]) == (digits, "-" + digits)
 
     def test_parser_is_built_once_per_process(self, graph_file, monkeypatch):
         p5 = graph_file("p5.txt", path(5))

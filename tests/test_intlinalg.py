@@ -114,6 +114,29 @@ class TestIntPoly:
             IntPoly([0.5])
 
 
+def decimal_by_chunks(x):
+    """str(x), built from 1000-digit chunks split off its low end."""
+    sign, x = ("-", -x) if x < 0 else ("", x)
+    chunks = []
+    while True:
+        x, low = divmod(x, 10**1000)
+        chunks.append(str(low))
+        if not x:
+            break
+    return sign + chunks[-1] + "".join(c.zfill(1000) for c in reversed(chunks[:-1]))
+
+
+class TestDecimal:
+    def test_ints_past_the_str_digit_limit(self):
+        cases = [0, 7, 10**999, 10**1000, 2**13000 - 1, 2**13000, 10**4300 - 1, 10**4300, 10**5000]
+        cases += [3**20000, 7**40000 + 1]
+        for x in cases:
+            for y in (x, -x):
+                assert intlinalg._decimal(y) == decimal_by_chunks(y)
+        assert intlinalg._decimal(10**5000) == "1" + "0" * 5000
+        assert intlinalg._decimal(10**4300 - 1) == "9" * 4300
+
+
 class TestSmithNormalForm:
     def test_worked_example(self):
         a = IntMatrix.from_rows([[2, 4], [6, 8]])
@@ -479,14 +502,32 @@ class TestCharPolyModularEdgeCases:
         assert char_poly(a) == IntPoly([1 - big * big, 0, 1])
 
 
-def modulus_bits(a):
+def hadamard_bits(a):
     """e = (2B).bit_length() for the Hadamard bound B = prod_i (1 +
-    ceil(|row_i|_2)) on the coefficients of det(xI - a)."""
+    ceil(|row_i|_2)) on the coefficients of det(xI - a), a given as rows or
+    as an IntMatrix."""
     bound = 1
     for row in a:
         squares = sum(x * x for x in row)
         bound *= 1 + (math.isqrt(squares - 1) + 1 if squares else 0)
     return (2 * bound).bit_length()
+
+
+def centered_rows(a):
+    """(rows, s): the rows of a - sI with s = trace(a) // m when their
+    Hadamard modulus is narrower than a's, else the rows of a and s = 0."""
+    m = a.rows
+    s = sum(a[i, i] for i in range(m)) // m if m else 0
+    rows = [[x - s if i == j else x for j, x in enumerate(row)] for i, row in enumerate(a)]
+    if hadamard_bits(rows) < hadamard_bits(a):
+        return rows, s
+    return a.to_rows(), 0
+
+
+def modulus_bits(a):
+    """The e that char_poly passes to _char_poly_mod: the Hadamard modulus
+    of the centered rows."""
+    return hadamard_bits(centered_rows(a)[0])
 
 
 @contextlib.contextmanager
@@ -550,6 +591,65 @@ class TestCharPolyOneLane:
         assert char_poly(a) == oracles.char_poly(a)
 
 
+@st.composite
+def scaled_identities_plus_noise(draw):
+    """c * I plus entries in -3..3, 0-7 rows, c up to +-2**200: the trace
+    sits almost all on the diagonal, so centering removes nearly all of it."""
+    m = draw(st.integers(min_value=0, max_value=7))
+    c = draw(st.one_of(st.integers(-50, 50), st.integers(-(2**200), 2**200)))
+    noise = draw(st.lists(st.integers(-3, 3), min_size=m * m, max_size=m * m))
+    return IntMatrix(m, m, [x + (c if k % (m + 1) == 0 else 0) for k, x in enumerate(noise)])
+
+
+class TestCenteredModulus:
+    """char_poly runs its lane on a - sI, s = trace(a) // m, when that
+    narrows the Hadamard modulus, and shifts the result back by x -> x - s."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            square_matrices(),
+            matrices_rich_in_powers_of_two(),
+            scaled_identities_plus_noise(),
+            connected_graphs(max_vertices=40).map(laplacian),
+        )
+    )
+    def test_modulus_never_exceeds_the_uncentered_one(self, a):
+        with recorded_lanes() as calls:
+            char_poly(a)
+        assert calls == [modulus_bits(a)]
+        assert calls[0] <= hadamard_bits(a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(scaled_identities_plus_noise())
+    def test_scaled_identity_plus_noise_against_interpolation(self, a):
+        assert char_poly(a) == oracles.char_poly(a)
+
+    def test_empty_and_one_by_one(self):
+        cases = [
+            ([], IntPoly([1]), 2),
+            ([[0]], IntPoly([0, 1]), 2),
+            ([[5]], IntPoly([-5, 1]), 2),
+            ([[-(2**300)]], IntPoly([2**300, 1]), 2),  # 302 bits uncentered
+        ]
+        for rows, expected, e in cases:
+            a = IntMatrix.from_rows(rows)
+            with recorded_lanes() as calls:
+                assert char_poly(a) == expected
+            assert calls == [e] == [modulus_bits(a)]
+
+    def test_a_graph_laplacian_centers_on_its_mean_degree(self):
+        # K_40 - 39 I has zero diagonal: 40 rows of norm sqrt(39), against
+        # sqrt(39**2 + 39) uncentered
+        a = laplacian(complete(40))
+        rows, s = centered_rows(a)
+        assert s == 39 and all(row[i] == 0 for i, row in enumerate(rows))
+        assert (modulus_bits(a), hadamard_bits(a)) == (122, 216)
+        with recorded_lanes() as calls:
+            assert char_poly(a) == oracles.char_poly(a)
+        assert calls == [122]
+
+
 @contextlib.contextmanager
 def recorded_reductions():
     """Records (name, e) for every call of the two Hessenberg reductions
@@ -574,17 +674,19 @@ RECURRENCE_CROSSOVER = intlinalg._PACKED_RECURRENCE_MAX_BITS
 
 def assert_reductions_agree(a, e):
     """Both reductions give the same band mod 2**e, and when 2**e covers
-    the Hadamard bound, the recurrence on it gives the exact coefficients."""
+    the Hadamard bound of a, or of the centered rows, the recurrence on
+    those rows gives the exact coefficients."""
     rows = a.to_rows()
     band = intlinalg._hessenberg_packed(rows, e)
     assert band == intlinalg._hessenberg_scalar(rows, e)
     assert rows == a.to_rows()  # neither reduction touches its input
     assert [len(column) for column in band] == [min(c + 2, a.rows) for c in range(a.rows)]
-    if e >= modulus_bits(a):
-        modulus = 1 << e
-        coefficients = intlinalg._char_poly_mod(rows, e)
-        signed = [c - modulus if 2 * c >= modulus else c for c in coefficients]
-        assert IntPoly(signed) == oracles.char_poly(a)
+    modulus = 1 << e
+    for rows in (a.to_rows(), centered_rows(a)[0]):
+        if e >= hadamard_bits(rows):
+            coefficients = intlinalg._char_poly_mod(rows, e)
+            signed = [c - modulus if 2 * c >= modulus else c for c in coefficients]
+            assert IntPoly(signed) == oracles.char_poly(IntMatrix.from_rows(rows))
 
 
 class TestPackedReduction:
@@ -600,24 +702,25 @@ class TestPackedReduction:
         ),
     )
     def test_random_matrices(self, a, e):
-        # None is the modulus char_poly would use; the fixed widths are
-        # narrower or wider than it
-        assert_reductions_agree(a, modulus_bits(a) if e is None else e)
+        # None is the modulus char_poly would use, and the uncentered one;
+        # the fixed widths are narrower or wider than them
+        for width in (modulus_bits(a), hadamard_bits(a)) if e is None else (e,):
+            assert_reductions_agree(a, width)
 
     def test_zero_one_and_two_rows(self):
         for a in (IntMatrix(0, 0, []), IntMatrix.from_rows([[-7]]), IntMatrix.from_rows([[3, -2**90], [5, 0]])):
-            for e in (modulus_bits(a), CROSSOVER, CROSSOVER + 1):
+            for e in (hadamard_bits(a), CROSSOVER, CROSSOVER + 1):
                 assert_reductions_agree(a, e)
 
     def test_zero_columns_have_no_pivot(self):
         a = IntMatrix.from_rows([[0, 4, 1, 0], [0, 0, 2, 0], [0, 0, 0, 0], [0, 8, 6, 0]])
-        for e in (modulus_bits(a), CROSSOVER, CROSSOVER + 1):
+        for e in (hadamard_bits(a), CROSSOVER, CROSSOVER + 1):
             assert_reductions_agree(a, e)
 
     def test_reversal_permutation_swaps_every_pivot(self):
         for m in range(1, 10):
             a = IntMatrix(m, m, [1 if i + j == m - 1 else 0 for i in range(m) for j in range(m)])
-            for e in (modulus_bits(a), CROSSOVER, CROSSOVER + 1):
+            for e in (hadamard_bits(a), CROSSOVER, CROSSOVER + 1):
                 assert_reductions_agree(a, e)
 
     def test_largest_column_accumulation(self):
@@ -631,12 +734,13 @@ class TestPackedReduction:
             rows = [[-1] * m for _ in range(m)]
             rows[1] = [1] + [0] * (m - 1)
             a = IntMatrix.from_rows(rows)
-            for e in list(range(CROSSOVER - 3, CROSSOVER + 5)) + [modulus_bits(a)]:
+            for e in list(range(CROSSOVER - 3, CROSSOVER + 5)) + [hadamard_bits(a)]:
                 assert_reductions_agree(a, e)
 
     def test_benchmark_sized_laplacians_take_the_packed_reduction(self):
-        # no Laplacian on at most 40 vertices has a wider modulus than
-        # K_40's, so they take the packed recurrence too
+        # no Laplacian on at most 40 vertices has a wider uncentered modulus
+        # than K_40's, and char_poly never passes a wider one than the
+        # uncentered modulus, so they take the packed recurrence too
         graphs = [random_connected_graph(random.Random(n), n, 0.3) for n in (22, 31, 40)]
         graphs += [cone(random_connected_graph(random.Random(1), 26, 0.3), 2), complete(40)]
         for g in graphs:
@@ -646,7 +750,8 @@ class TestPackedReduction:
                 result = char_poly(a)
             assert calls == [("_hessenberg_packed", e), ("_recurrence_packed", e)]
             assert result == oracles.char_poly(a)
-        assert modulus_bits(laplacian(complete(40))) <= RECURRENCE_CROSSOVER < CROSSOVER
+        k40 = laplacian(complete(40))
+        assert modulus_bits(k40) <= hadamard_bits(k40) <= RECURRENCE_CROSSOVER < CROSSOVER
 
     def test_a_200_cycle_takes_the_scalar_reduction(self):
         a = laplacian(cycle(200))
@@ -654,7 +759,7 @@ class TestPackedReduction:
         with recorded_reductions() as calls:
             char_poly(a)
         assert calls == [("_hessenberg_scalar", e), ("_recurrence_scalar", e)]
-        assert e == 402 > CROSSOVER
+        assert e == 318 > CROSSOVER
 
     def test_a_path_just_above_the_recurrence_crossover_takes_the_scalar_recurrence(self):
         n = next(n for n in range(2, 200) if modulus_bits(laplacian(path(n))) > RECURRENCE_CROSSOVER)
@@ -665,7 +770,8 @@ class TestPackedReduction:
         assert calls == [("_hessenberg_packed", e), ("_recurrence_scalar", e)]
         assert e <= RECURRENCE_CROSSOVER + 4
         # the packed recurrence on the same band gives the same coefficients
-        rows = a.to_rows()
+        rows, s = centered_rows(a)
+        assert s == 1
         band = intlinalg._hessenberg_packed(rows, e)
         assert intlinalg._recurrence_packed(band, e) == intlinalg._char_poly_mod(rows, e)
         # minus the trace, and n times the one spanning tree

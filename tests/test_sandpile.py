@@ -22,6 +22,7 @@ from chipfire import (
     IntMatrix,
     IntPoly,
     NotConnectedError,
+    char_poly,
     char_poly_restricted,
     class_order,
     complete,
@@ -36,6 +37,7 @@ from chipfire import (
     join,
     laplacian,
     path,
+    poly_divide_by_x,
     poly_eval,
     quotient_by_classes,
     random_connected_graph,
@@ -350,6 +352,11 @@ class TestCharPolyRestricted:
         for g in (GOEL, cycle(6), cone(path(3), 2), FORK_TREE):
             value = abs(poly_eval(char_poly_restricted(g), 0))
             assert value == g.vertex_count * spanning_tree_count(g)
+
+    def test_builds_no_laplacian_matrix(self, monkeypatch):
+        monkeypatch.setattr(sandpile, "laplacian", None)
+        monkeypatch.setattr(sandpile, "IntMatrix", None)
+        assert char_poly_restricted(path(3)) == IntPoly([3, -4, 1])
 
 
 class TestFireVertex:
@@ -801,3 +808,19 @@ class TestPresentationAgainstWitnessOracles:
             for v in range(g.vertex_count):
                 direct = smith_normal_form(reduced_laplacian(g, v)).diagonal
                 assert critical_group(g) == CriticalGroup.from_diagonal(direct)
+
+
+class TestCharPolyRestrictedRows:
+    """char_poly_restricted builds the Laplacian's rows from the graph and
+    hands them to the rows-level entry of char_poly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            connected_graphs(max_vertices=30),
+            blown_up_graphs().filter(is_connected),
+            st.builds(cone, connected_graphs(max_vertices=12), st.integers(1, 12)),
+        )
+    )
+    def test_rows_from_the_graph_give_the_laplacians_polynomial(self, g):
+        assert char_poly_restricted(g) == poly_divide_by_x(char_poly(laplacian(g)))

@@ -1,11 +1,11 @@
 """Exact linear algebra over the integers.
 
 Everything in this module runs on plain Python ints, so there is no
-coefficient-size limit and no floating point anywhere.  The three workhorses
-are Smith normal form with unimodular witness matrices, the Bareiss
-fraction-free determinant, and an exact characteristic polynomial computed by
-one Hessenberg reduction modulo 2**e, where 2**e exceeds twice the bound
-prod_i (1 + ceil(|row_i|_2)) on every coefficient.  That bound holds because
+coefficient-size limit and no floating point anywhere.  The two public
+workhorses are the Bareiss fraction-free determinant and an exact
+characteristic polynomial computed by one Hessenberg reduction modulo 2**e,
+where 2**e exceeds twice the bound prod_i (1 + ceil(|row_i|_2)) on every
+coefficient.  That bound holds because
 the coefficient of x^(m-j) is a signed sum of j x j principal minors and
 Hadamard's inequality bounds each of them.  The lane runs on a - sI, with
 s = trace // m, whenever that matrix has the narrower bound (on a Laplacian
@@ -21,7 +21,9 @@ packs each polynomial the same way.  A private kernel presents the cokernel
 of a nonsingular matrix: it splits off exactly every pivot that divides its
 row and column, finishes the rest modulo its determinant, keeps no column
 witness, and logs its row operations and replays them only for factors of
-order >= 2.
+order >= 2.  Its finish is one private diagonalization of a rectangular
+matrix modulo a given N, which sandpile also runs for the subgroups and
+quotients of Pic0.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ from .errors import InputError
 __all__ = [
     "IntMatrix",
     "IntPoly",
-    "SnfResult",
-    "smith_normal_form",
     "determinant",
     "char_poly",
     "poly_eval",
@@ -61,6 +61,11 @@ def _decimal(x: int) -> str:
     k = x.bit_length() * 3 // 20  # about half the digits, log10(2) > 0.3
     high, low = divmod(x, 10**k)
     return _decimal(high) + _decimal(low).zfill(k)
+
+
+def _list_repr(xs) -> str:
+    """repr(list(xs)) for ints of any size."""
+    return f"[{', '.join(map(_decimal, xs))}]"
 
 
 def _check_int(value) -> int:
@@ -132,7 +137,7 @@ class IntMatrix:
     def __repr__(self):
         if not self.rows:  # from_rows([]) would lose the column count
             return f"IntMatrix(0, {self.cols}, [])"
-        return f"IntMatrix.from_rows({[list(r) for r in self._data]})"
+        return f"IntMatrix.from_rows([{', '.join(map(_list_repr, self._data))}])"
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,7 +162,7 @@ class IntPoly:
         return not self.coefficients
 
     def __repr__(self):
-        return f"IntPoly({list(self.coefficients)})"
+        return f"IntPoly({_list_repr(self.coefficients)})"
 
     def __str__(self):
         if self.is_zero:
@@ -179,116 +184,6 @@ class IntPoly:
             else:
                 terms.append(f" {sign} {body}")
         return "".join(terms)
-
-
-@dataclass(frozen=True)
-class SnfResult:
-    """Smith normal form u @ a @ v == s with unimodular u and v.
-
-    ``diagonal`` holds the nonnegative diagonal of ``s``; every nonzero entry
-    divides the next and zeros come last.
-    """
-
-    u: IntMatrix
-    s: IntMatrix
-    v: IntMatrix
-    diagonal: tuple
-
-
-def _nearest_quotient(a: int, b: int) -> int:
-    """Quotient q with |a - q*b| <= |b| / 2."""
-    q, r = divmod(a, b)
-    if 2 * abs(r) > abs(b):
-        q += 1
-    return q
-
-
-def smith_normal_form(a: IntMatrix) -> SnfResult:
-    """Diagonalize an integer matrix by unimodular row and column operations.
-
-    Pivots are always chosen with minimal absolute value over the remaining
-    submatrix, which keeps intermediate entries small at desk scale.  The
-    returned witnesses satisfy u @ a @ v == s exactly.
-
-    The witnesses are reduced in the same array as the matrix: for an m x n
-    input, row i < m holds [row i of S | row i of U] and the n rows of V
-    follow.  So each row operation updates S and U together, and each column
-    operation (on columns below n only) updates S and V together.
-    """
-    m, n = a.rows, a.cols
-    aug = [list(row) + [1 if i == j else 0 for j in range(m)] for i, row in enumerate(a)]
-    aug += [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_add(dst, src, q):
-        # row dst += q * row src, across S and U
-        aug_dst, aug_src = aug[dst], aug[src]
-        for j in range(n + m):
-            aug_dst[j] += q * aug_src[j]
-
-    def col_add(dst, src, q):
-        # column dst += q * column src, down S and V
-        for row in aug:
-            row[dst] += q * row[src]
-
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        # minimal-absolute-value nonzero pivot over the working submatrix
-        best = None
-        for i in range(t, m):
-            row = aug[i]
-            for j in range(t, n):
-                x = row[j]
-                if x != 0 and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-        if best is None:
-            break
-        _, pi, pj = best
-        if pi != t:
-            aug[t], aug[pi] = aug[pi], aug[t]
-        if pj != t:
-            for row in aug:
-                row[t], row[pj] = row[pj], row[t]
-        p = aug[t][t]
-
-        dirty = False
-        for i in range(t + 1, m):
-            if aug[i][t] != 0:
-                row_add(i, t, -_nearest_quotient(aug[i][t], p))
-                if aug[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, n):
-            if aug[t][j] != 0:
-                col_add(j, t, -_nearest_quotient(aug[t][j], p))
-                if aug[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue  # leftover remainders are smaller than p; rescan
-
-        # pivot must divide the rest of the submatrix for the divisibility chain
-        offender = None
-        for i in range(t + 1, m):
-            row = aug[i]
-            for j in range(t + 1, n):
-                if row[j] % p != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_add(t, offender, 1)  # drags the bad entry into row t
-            continue
-
-        if p < 0:
-            aug[t] = [-x for x in aug[t]]
-        t += 1
-
-    return SnfResult(
-        u=IntMatrix(m, m, [x for row in aug[:m] for x in row[n:]]),
-        s=IntMatrix(m, n, [x for row in aug[:m] for x in row[:n]]),
-        v=IntMatrix(n, n, [x for row in aug[m:] for x in row]),
-        diagonal=tuple(aug[i][i] for i in range(limit)),
-    )
 
 
 def _xgcd(a: int, b: int) -> tuple:
@@ -323,6 +218,94 @@ def _replay_exact(start: dict, sources: list, popped: list, order: int) -> tuple
     return tuple(y)
 
 
+def _diagonalize_mod(m: list, n: int) -> tuple:
+    """Diagonalize the matrix m of residues mod n, given as its rows, by row
+    operations invertible mod n and column operations (not tracked).  The
+    rows are consumed.
+
+    A unit pivot clears its column with its inverse; otherwise the least
+    nonzero entry is the pivot, an entry it divides is cleared by plain
+    elimination, and any other is merged with it by a 2x2 extended-gcd step,
+    by rows in its column and by columns in its row.  Each step leaves a
+    smaller pivot, so the loop ends.  Once a pivot's row and column are
+    done, its other entries are multiples of it, which column operations
+    would clear without touching another row, so the finished rows are left
+    as they are.
+
+    Returns (pivots, log).  pivots lists (row, pivot) for every row, in the
+    order the rows were finished, with pivot 0 for a row that ends zero mod
+    n: the cokernel of m over Z/n is isomorphic to the sum of the
+    Z/gcd(pivot, n), and its column span to the sum of the pivot * Z/n.
+    log holds the row operations in order: (dst, src, c) for row
+    dst -= c * row src, and (p, i, s, t, e, f) for rows
+    (p, i) <- (s*p + t*i, e*i - f*p).
+    """
+    width = len(m[0]) if m else 0
+    log = []
+
+    def combine(dst, src, c):
+        m[dst] = [(x - c * y) % n for x, y in zip(m[dst], m[src])]
+        log.append((dst, src, c))
+
+    def merge(p, i, s, t, e, f):
+        x, y = m[p], m[i]
+        m[p] = [(s * v + t * w) % n for v, w in zip(x, y)]
+        m[i] = [(e * w - f * v) % n for v, w in zip(x, y)]
+        log.append((p, i, s, t, e, f))
+
+    pivots = []
+    active = list(range(len(m)))
+    while active:
+        pivot = next(
+            (
+                (i, j)
+                for i in active
+                for j in range(width)
+                if m[i][j] and math.gcd(m[i][j], n) == 1
+            ),
+            None,
+        )
+        if pivot is not None:
+            p, q = pivot
+            inv = pow(m[p][q], -1, n)
+            active.remove(p)
+            for i in active:
+                if m[i][q]:
+                    combine(i, p, m[i][q] * inv % n)
+            pivots.append((p, m[p][q]))
+            continue
+        entries = [(m[i][j], i, j) for i in active for j in range(width) if m[i][j]]
+        if not entries:
+            break
+        _, p, q = min(entries)
+        active.remove(p)
+        while True:
+            for i in active:
+                b = m[i][q]
+                if not b:
+                    continue
+                d = m[p][q]
+                if b % d == 0:
+                    combine(i, p, b // d)
+                else:
+                    g, s, t = _xgcd(d, b)
+                    merge(p, i, s, t, d // g, b // g)
+            d = m[p][q]
+            j = next((j for j in range(width) if j != q and m[p][j] % d), None)
+            if j is None:
+                break
+            # column step on (q, j); column q is zero outside row p
+            b = m[p][j]
+            g, s, t = _xgcd(d, b)
+            e, f = d // g, b // g
+            for row in [m[i] for i in active] + [m[p]]:
+                v, w = row[q], row[j]
+                row[q], row[j] = (s * v + t * w) % n, (e * w - f * v) % n
+        pivots.append((p, m[p][q]))
+    pivots += [(i, 0) for i in active]
+    return pivots, log
+
+
 def _cokernel_rows(rows: dict) -> tuple:
     """Orders and coordinate rows of coker a, for a nonsingular k x k matrix a
     given as sparse rows {i: {j: a_ij}} of its nonzero entries, i and j in
@@ -344,13 +327,8 @@ def _cokernel_rows(rows: dict) -> tuple:
     Laplacians: a class of twins leaves rows whose entries are multiples of
     one of them, and those split off here.  With tau = |det R|,
     tau * Z^r lies in im R, so coker R is (Z/tau)^r modulo the columns of
-    R mod tau.  R is finished mod tau by row operations invertible mod tau
-    and column operations (not tracked): a unit pivot clears its column
-    with its inverse; otherwise the least nonzero entry is the pivot, an
-    entry it divides is cleared by plain elimination, and any other is
-    merged with it by a 2x2 extended-gcd step, by rows in its column and by
-    columns in its row.  A pivot d leaves the factor Z/gcd(d, tau), and a
-    row that is zero mod tau leaves Z/tau.
+    R mod tau, and _diagonalize_mod finishes R mod tau.  A pivot d leaves
+    the factor Z/gcd(d, tau), and a row that is zero mod tau leaves Z/tau.
 
     The coordinate row of the factor split off at row p is e_p E_t ... E_1,
     E_1 .. E_t the row operations done until then, mod its order; a factor
@@ -417,72 +395,9 @@ def _cokernel_rows(rows: dict) -> tuple:
         return tuple(orders), tuple(out)
     tau = abs(determinant(IntMatrix(r, r, [rows[i].get(j, 0) for i in left for j in top])))
     popped += left  # no exact operation has a residual row as its source
-    m = [[rows[i].get(j, 0) % tau for j in top] for i in left]
-    # the row operations mod tau: (dst, src, c) for row dst -= c * row src,
-    # (p, i, s, t, e, f) for rows (p, i) <- (s*p + t*i, e*i - f*p)
-    tau_log = []
-
-    def combine(dst, src, c):
-        m[dst] = [(x - c * y) % tau for x, y in zip(m[dst], m[src])]
-        tau_log.append((dst, src, c))
-
-    def merge(p, i, s, t, e, f):
-        x, y = m[p], m[i]
-        m[p] = [(s * v + t * w) % tau for v, w in zip(x, y)]
-        m[i] = [(e * w - f * v) % tau for v, w in zip(x, y)]
-        tau_log.append((p, i, s, t, e, f))
-
-    pivots = []  # (row, order) for every pivot that is not a unit
-    active = list(range(r))
-    while active:
-        pivot = next(
-            (
-                (i, j)
-                for i in active
-                for j in range(r)
-                if m[i][j] and math.gcd(m[i][j], tau) == 1
-            ),
-            None,
-        )
-        if pivot is not None:
-            p, q = pivot
-            inv = pow(m[p][q], -1, tau)
-            active.remove(p)
-            for i in active:
-                if m[i][q]:
-                    combine(i, p, m[i][q] * inv % tau)
-            continue
-        entries = [(m[i][j], i, j) for i in active for j in range(r) if m[i][j]]
-        if not entries:
-            break
-        _, p, q = min(entries)
-        active.remove(p)
-        while True:
-            for i in active:
-                b = m[i][q]
-                if not b:
-                    continue
-                d = m[p][q]
-                if b % d == 0:
-                    combine(i, p, b // d)
-                else:
-                    g, s, t = _xgcd(d, b)
-                    merge(p, i, s, t, d // g, b // g)
-            d = m[p][q]
-            j = next((j for j in range(r) if j != q and m[p][j] % d), None)
-            if j is None:
-                break
-            # column step on (q, j); column q is zero outside row p
-            b = m[p][j]
-            g, s, t = _xgcd(d, b)
-            e, f = d // g, b // g
-            for row in [m[i] for i in active] + [m[p]]:
-                v, w = row[q], row[j]
-                row[q], row[j] = (s * v + t * w) % tau, (e * w - f * v) % tau
-        pivots.append((p, math.gcd(m[p][q], tau)))
-    pivots += [(i, tau) for i in active]
-
-    for p, order in pivots:
+    pivots, tau_log = _diagonalize_mod([[rows[i].get(j, 0) % tau for j in top] for i in left], tau)
+    for p, pivot in pivots:
+        order = math.gcd(pivot, tau)
         if order == 1:
             continue
         y = [int(l == p) for l in range(r)]

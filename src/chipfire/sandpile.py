@@ -9,8 +9,9 @@ divisor has coordinates (U_i . x) mod d_i, where x is the divisor with
 vertex 0 dropped and U_i is the row of the presentation matching d_i.
 Every divisor-class question (is this divisor principal, what is the order
 of its class, what group do some classes generate or leave over) is then
-answered in those coordinates, with at most two SNFs of size about s rather
-than of the graph's size.
+answered in those coordinates: a subgroup or a quotient takes one
+diagonalization of an s-row matrix modulo N = lcm(d_1, ..., d_s), the
+exponent of Pic0, rather than an SNF of the graph's size.
 
 The presentation eliminates exactly on every pivot d that divides its row
 and its column, which splits off Z/|d|: the +-1 entries first, then such
@@ -29,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -41,9 +41,9 @@ from .intlinalg import (
     _char_poly_rows,
     _cokernel_rows,
     _decimal,
+    _diagonalize_mod,
     determinant,
     poly_divide_by_x,
-    smith_normal_form,
 )
 
 __all__ = [
@@ -267,57 +267,55 @@ def class_order(g: Graph, d: Sequence[int]) -> int:
     )
 
 
-def _generated_snf(g: Graph, generators: Iterable[Sequence[int]]) -> tuple:
-    """Generator count r and the SNF of the s x (r+s) matrix [C | diag(d)].
-
-    Column j of C holds the class coordinates of generator j.  The cokernel
-    of [C | diag(d)] is Pic0 modulo the generated subgroup, and the first r
-    coordinates of its kernel are the relations among the generators.
-    """
+def _generated_coordinates(g: Graph, generators: Iterable[Sequence[int]]) -> tuple:
+    """The orders d of the presentation of Pic0 and the generators' class
+    coordinates C as rows: rows[i][j] is coordinate i of generator j."""
     gens = [_check_degree_zero(g, d) for d in generators]
     pic0 = _reduced_snf(g)
     columns = [pic0.coordinates(d) for d in gens]
-    s, r = len(pic0.factors), len(gens)
-    entries = [
-        x
-        for i, d_i in enumerate(pic0.factors)
-        for x in [col[i] for col in columns] + [d_i if j == i else 0 for j in range(s)]
+    return pic0.factors, [[col[i] for col in columns] for i in range(len(pic0.factors))]
+
+
+def _quotient(factors: tuple, rows: list) -> CriticalGroup:
+    """Z/d_1 x ... x Z/d_s modulo the columns of C: the cokernel of
+    [C | diag(d)].  N = lcm(d) annihilates it, so it is the cokernel mod N,
+    the sum of Z/gcd(pivot, N) over the pivots left by diagonalizing mod N."""
+    n = math.lcm(*factors)
+    s = len(factors)
+    m = [
+        row + [d % n if j == i else 0 for j in range(s)]
+        for i, (d, row) in enumerate(zip(factors, rows))
     ]
-    return r, smith_normal_form(IntMatrix(s, r + s, entries))
+    pivots, _ = _diagonalize_mod(m, n)
+    return CriticalGroup.from_cyclic_orders(math.gcd(p, n) for _, p in pivots)
+
+
+def _subgroup(factors: tuple, rows: list) -> CriticalGroup:
+    """The span of the columns of C in Z/d_1 x ... x Z/d_s.  With
+    N = lcm(d), scaling coordinate i by N/d_i embeds the sum in (Z/N)^s,
+    and the span of the scaled columns is the sum of pivot * Z/N, of order
+    N/gcd(pivot, N), over the pivots left by diagonalizing mod N."""
+    n = math.lcm(*factors)
+    m = [[c * (n // d) for c in row] for d, row in zip(factors, rows)]
+    pivots, _ = _diagonalize_mod(m, n)
+    return CriticalGroup.from_cyclic_orders(n // math.gcd(p, n) for _, p in pivots)
 
 
 def quotient_by_classes(g: Graph, generators: Iterable[Sequence[int]]) -> CriticalGroup:
-    """Pic0(g) modulo the subgroup generated by the given divisor classes.
-
-    Z/d_1 x ... x Z/d_s modulo the generators' coordinate columns C is the
-    cokernel of [C | diag(d)].
-    """
-    _, snf = _generated_snf(g, generators)
-    return CriticalGroup.from_diagonal(snf.diagonal)
+    """Pic0(g) modulo the subgroup generated by the given divisor classes."""
+    return _quotient(*_generated_coordinates(g, generators))
 
 
 def subgroup_invariants(g: Graph, generators: Iterable[Sequence[int]]) -> CriticalGroup:
-    """Structure of the subgroup of Pic0(g) generated by the given classes.
-
-    The subgroup is Z^r modulo the relation lattice {a : C a in diag(d) Z^s}
-    of the generators.  That lattice is the projection onto the first r
-    coordinates of the kernel of [C | diag(d)], which is spanned by the
-    columns s.. of the SNF column witness V.  It has full rank, because it
-    contains lcm(d_1, ..., d_s) times every unit vector.
-    """
-    return _subgroup_from_snf(*_generated_snf(g, generators))
-
-
-def _subgroup_from_snf(r: int, snf) -> CriticalGroup:
-    s = snf.u.rows
-    relations = [x for row in islice(snf.v, r) for x in row[s:]]
-    return CriticalGroup.from_diagonal(smith_normal_form(IntMatrix(r, r, relations)).diagonal)
+    """Structure of the subgroup of Pic0(g) generated by the given classes."""
+    return _subgroup(*_generated_coordinates(g, generators))
 
 
 def _subgroup_and_quotient(g: Graph, generators: Iterable[Sequence[int]]) -> tuple:
-    """(subgroup_invariants, quotient_by_classes) from one SNF of [C | diag(d)]."""
-    r, snf = _generated_snf(g, generators)
-    return _subgroup_from_snf(r, snf), CriticalGroup.from_diagonal(snf.diagonal)
+    """(subgroup_invariants, quotient_by_classes) from one pass over the
+    generators' coordinates."""
+    factors, rows = _generated_coordinates(g, generators)
+    return _subgroup(factors, rows), _quotient(factors, rows)
 
 
 def direct_sum(a: CriticalGroup, b: CriticalGroup) -> CriticalGroup:

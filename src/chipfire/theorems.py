@@ -2,9 +2,9 @@
 
 Each verifier recomputes both sides of a claimed identity through independent
 code paths and reports whether they agree.  On the Pic0 side, the cone and
-tree checks read the cached presentation of Pic0 and then run small SNFs
-over the generators' coordinates; the join check takes the matrix-tree
-count.  The other side of each order check is a Bareiss determinant of
+tree checks read the cached presentation of Pic0 and then diagonalize the
+generators' coordinates modulo the exponent of Pic0; the join check takes
+the matrix-tree count.  The other side of each order check is a Bareiss determinant of
 xI - L.  Everything is exact integer arithmetic, so "holds" means equality,
 not closeness.
 """

@@ -7,6 +7,7 @@ library computes another way; tests assert that both agree.
 import heapq
 import itertools
 import math
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from chipfire import (
@@ -20,7 +21,7 @@ from chipfire import (
     laplacian,
     reduced_laplacian,
 )
-from chipfire.intlinalg import SnfResult, _nearest_quotient, _xgcd
+from chipfire.intlinalg import _xgcd
 from chipfire.sandpile import _check_degree_zero, _require_connected
 
 
@@ -80,11 +81,31 @@ def char_poly(a: IntMatrix) -> IntPoly:
     return IntPoly(coeffs)
 
 
-# Smith normal form with the witnesses U and V kept as two matrices of their
-# own, so every row and column operation is written once for S and once for
-# U or V.  The library keeps [S | U] in one array and V below it; both must
-# return identical U, S, V and diagonal.  The divisor-class oracles below use
-# this version too.
+# Smith normal form with unimodular witnesses, the library's earlier route
+# to Pic0 and to its subgroups and quotients.  The divisor-class oracles
+# below use it, and the tests check its witnesses and its chain.
+
+
+@dataclass(frozen=True)
+class SnfResult:
+    """Smith normal form u @ a @ v == s with unimodular u and v.
+
+    ``diagonal`` holds the nonnegative diagonal of ``s``; every nonzero entry
+    divides the next and zeros come last.
+    """
+
+    u: IntMatrix
+    s: IntMatrix
+    v: IntMatrix
+    diagonal: tuple
+
+
+def _nearest_quotient(a: int, b: int) -> int:
+    """Quotient q with |a - q*b| <= |b| / 2."""
+    q, r = divmod(a, b)
+    if 2 * abs(r) > abs(b):
+        q += 1
+    return q
 
 
 def smith_normal_form(a: IntMatrix) -> SnfResult:
@@ -93,41 +114,26 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     Pivots are always chosen with minimal absolute value over the remaining
     submatrix, which keeps intermediate entries small at desk scale.  The
     returned witnesses satisfy u @ a @ v == s exactly.
+
+    The witnesses are reduced in the same array as the matrix: for an m x n
+    input, row i < m holds [row i of S | row i of U] and the n rows of V
+    follow.  So each row operation updates S and U together, and each column
+    operation (on columns below n only) updates S and V together.
     """
     m, n = a.rows, a.cols
-    s = a.to_rows()
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    aug = [list(row) + [1 if i == j else 0 for j in range(m)] for i, row in enumerate(a)]
+    aug += [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def row_add(dst, src, q):
-        # row dst += q * row src, mirrored into u
-        s_dst, s_src = s[dst], s[src]
-        for j in range(n):
-            s_dst[j] += q * s_src[j]
-        u_dst, u_src = u[dst], u[src]
-        for j in range(m):
-            u_dst[j] += q * u_src[j]
+        # row dst += q * row src, across S and U
+        aug_dst, aug_src = aug[dst], aug[src]
+        for j in range(n + m):
+            aug_dst[j] += q * aug_src[j]
 
     def col_add(dst, src, q):
-        # column dst += q * column src, mirrored into v
-        for row in s:
+        # column dst += q * column src, down S and V
+        for row in aug:
             row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def row_swap(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def row_negate(i):
-        s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
 
     t = 0
     limit = min(m, n)
@@ -135,7 +141,7 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
         # minimal-absolute-value nonzero pivot over the working submatrix
         best = None
         for i in range(t, m):
-            row = s[i]
+            row = aug[i]
             for j in range(t, n):
                 x = row[j]
                 if x != 0 and (best is None or abs(x) < best[0]):
@@ -144,21 +150,22 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
             break
         _, pi, pj = best
         if pi != t:
-            row_swap(t, pi)
+            aug[t], aug[pi] = aug[pi], aug[t]
         if pj != t:
-            col_swap(t, pj)
-        p = s[t][t]
+            for row in aug:
+                row[t], row[pj] = row[pj], row[t]
+        p = aug[t][t]
 
         dirty = False
         for i in range(t + 1, m):
-            if s[i][t] != 0:
-                row_add(i, t, -_nearest_quotient(s[i][t], p))
-                if s[i][t] != 0:
+            if aug[i][t] != 0:
+                row_add(i, t, -_nearest_quotient(aug[i][t], p))
+                if aug[i][t] != 0:
                     dirty = True
         for j in range(t + 1, n):
-            if s[t][j] != 0:
-                col_add(j, t, -_nearest_quotient(s[t][j], p))
-                if s[t][j] != 0:
+            if aug[t][j] != 0:
+                col_add(j, t, -_nearest_quotient(aug[t][j], p))
+                if aug[t][j] != 0:
                     dirty = True
         if dirty:
             continue  # leftover remainders are smaller than p; rescan
@@ -166,7 +173,7 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
         # pivot must divide the rest of the submatrix for the divisibility chain
         offender = None
         for i in range(t + 1, m):
-            row = s[i]
+            row = aug[i]
             for j in range(t + 1, n):
                 if row[j] % p != 0:
                     offender = i
@@ -178,15 +185,14 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
             continue
 
         if p < 0:
-            row_negate(t)
+            aug[t] = [-x for x in aug[t]]
         t += 1
 
-    diagonal = tuple(s[i][i] for i in range(limit))
     return SnfResult(
-        u=IntMatrix.from_rows(u) if m else IntMatrix(0, 0, []),
-        s=IntMatrix.from_rows(s) if m else IntMatrix(0, n, []),
-        v=IntMatrix.from_rows(v) if n else IntMatrix(0, 0, []),
-        diagonal=diagonal,
+        u=IntMatrix(m, m, [x for row in aug[:m] for x in row[n:]]),
+        s=IntMatrix(m, n, [x for row in aug[:m] for x in row[:n]]),
+        v=IntMatrix(n, n, [x for row in aug[m:] for x in row]),
+        diagonal=tuple(aug[i][i] for i in range(limit)),
     )
 
 

@@ -29,7 +29,6 @@ from chipfire import (
     poly_eval,
     quotient_by_classes,
     random_connected_graph,
-    smith_normal_form,
     spanning_tree_count,
     subgroup_invariants,
     tree_from_pruefer,
@@ -38,7 +37,7 @@ from chipfire import (
     verify_join_theorem,
     verify_tree_bound,
 )
-from oracles import brute_force_spanning_trees
+from oracles import brute_force_spanning_trees, smith_normal_form
 from chipfire.intlinalg import IntMatrix, determinant
 
 GOEL = Graph(6, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)])

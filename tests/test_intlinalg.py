@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import smith_normal_form
 from chipfire import (
     CriticalGroup,
     Graph,
@@ -29,7 +30,6 @@ from chipfire import (
     random_connected_graph,
     reduced_laplacian,
     sandpile,
-    smith_normal_form,
 )
 
 
@@ -137,6 +137,19 @@ class TestDecimal:
         assert intlinalg._decimal(10**4300 - 1) == "9" * 4300
 
 
+def assert_smith_form(a):
+    result = smith_normal_form(a)
+    assert result.u @ a @ result.v == result.s
+    assert abs(determinant(result.u)) == 1
+    assert abs(determinant(result.v)) == 1
+    diag = result.diagonal
+    assert all(d >= 0 for d in diag)
+    nonzero = [d for d in diag if d != 0]
+    assert list(diag[: len(nonzero)]) == nonzero, "zeros must come last"
+    for x, y in zip(nonzero, nonzero[1:]):
+        assert y % x == 0
+
+
 class TestSmithNormalForm:
     def test_worked_example(self):
         a = IntMatrix.from_rows([[2, 4], [6, 8]])
@@ -156,16 +169,7 @@ class TestSmithNormalForm:
     @settings(max_examples=200)
     @given(matrices())
     def test_witnesses_and_chain(self, a):
-        result = smith_normal_form(a)
-        assert result.u @ a @ result.v == result.s
-        assert abs(determinant(result.u)) == 1
-        assert abs(determinant(result.v)) == 1
-        diag = result.diagonal
-        assert all(d >= 0 for d in diag)
-        nonzero = [d for d in diag if d != 0]
-        assert list(diag[: len(nonzero)]) == nonzero, "zeros must come last"
-        for x, y in zip(nonzero, nonzero[1:]):
-            assert y % x == 0
+        assert_smith_form(a)
 
     @settings(max_examples=150)
     @given(matrices(max_rows=5, max_cols=5, min_rows=1, min_cols=1).filter(lambda m: m.is_square))
@@ -314,32 +318,24 @@ def reduced_laplacians(draw):
     return reduced_laplacian(g, draw(st.integers(0, g.vertex_count - 1)))
 
 
-class TestSmithNormalFormAgainstTwoWitnessOracle:
-    """The one-array SNF against the version that keeps U and V apart: the
-    same operations in the same order, so every output must be identical."""
-
-    @staticmethod
-    def assert_identical(a):
-        new, old = smith_normal_form(a), oracles.smith_normal_form(a)
-        assert new.u == old.u
-        assert new.s == old.s
-        assert new.v == old.v
-        assert new.diagonal == old.diagonal
+class TestSmithNormalFormWitnesses:
+    """The SNF oracle on wide entries, on reduced Laplacians and on empty
+    shapes: unimodular witnesses and a divisibility chain."""
 
     @settings(max_examples=300, deadline=None)
     @given(snf_matrices())
     def test_random_matrices(self, a):
-        self.assert_identical(a)
+        assert_smith_form(a)
 
     @settings(max_examples=25, deadline=None)
     @given(reduced_laplacians())
     def test_reduced_laplacians(self, a):
-        self.assert_identical(a)
+        assert_smith_form(a)
 
     def test_empty_shapes(self):
         for rows, cols in ((0, 0), (0, 4), (3, 0)):
             a = IntMatrix(rows, cols, [0] * (rows * cols))
-            self.assert_identical(a)
+            assert_smith_form(a)
             result = smith_normal_form(a)
             assert (result.u.rows, result.s.rows, result.s.cols, result.v.rows) == (
                 rows, rows, cols, cols,
@@ -409,6 +405,30 @@ class TestCokernelModDeterminant:
         # keeps its coordinates; an extended-gcd step would swap the rows'
         # roles instead
         assert intlinalg._cokernel_rows({0: {0: 3, 1: 4}, 1: {0: 3, 1: 8}}) == ((12,), ((7, 1),))
+
+    def test_entries_the_pivot_divides_are_cleared_by_plain_elimination_mod_n(self):
+        # (g, s, t) = _xgcd(d, d) is (d, 0, 1), so an extended-gcd step on an
+        # entry equal to the pivot would swap the two rows' roles; a pivot
+        # rule that took it looped forever on m mod 7.  Doubled, m has no
+        # unit mod 14, and the least entry meets entries equal to it
+        m = [
+            [1, 0, 0, 0, 0, 0, 0, 0, 0],
+            [2, 6, 3, 2, 0, 0, 0, 0, 0],
+            [1, 6, 4, 1, 0, 0, 0, 0, 0],
+            [0, 6, 6, 0, 0, 0, 0, 0, 0],
+            [0, 6, 2, 0, 0, 0, 0, 0, 0],
+        ]
+        for scale, n in ((1, 7), (2, 14)):
+            rows = [[scale * x % n for x in row] for row in m]
+            a = IntMatrix.from_rows([row + [n * (i == j) for j in range(5)] for i, row in enumerate(rows)])
+            pivots, log = intlinalg._diagonalize_mod(rows, n)
+            assert sorted(i for i, _ in pivots) == list(range(5))
+            # a merge (p, i, s, t, d/g, b/g) with d/g = 1 is one on an entry
+            # b that the pivot d divides
+            assert all(len(op) == 3 or op[4] > 1 for op in log)
+            assert CriticalGroup.from_cyclic_orders(math.gcd(p, n) for _, p in pivots) == (
+                CriticalGroup.from_diagonal(smith_normal_form(a).diagonal)
+            )
 
     def test_pivots_that_divide_their_row_and_column_split_exactly(self, monkeypatch):
         a = IntMatrix.from_rows([[2, 0], [2, 4]])

@@ -1,4 +1,5 @@
-"""Every public result type is an immutable value.
+"""Every public result type, and the SNF oracle's result, is an immutable
+value.
 
 Each one must survive ``pickle`` (so results can cross a process pool),
 ``copy.copy`` and ``copy.deepcopy`` with equal value and hash, and refuse
@@ -10,6 +11,7 @@ import pickle
 
 import pytest
 
+import oracles
 from chipfire import (
     CriticalGroup,
     Graph,
@@ -18,7 +20,6 @@ from chipfire import (
     char_poly_restricted,
     cycle,
     path,
-    smith_normal_form,
     verify_cone_theorem,
     verify_join_theorem,
     verify_tree_bound,
@@ -28,7 +29,7 @@ VALUES = {
     "Graph": (Graph(3, [(0, 1), (1, 2)]), "vertex_count"),
     "IntMatrix": (IntMatrix.from_rows([[2, -1], [0, 3]]), "rows"),
     "IntPoly": (char_poly_restricted(cycle(5)), "coefficients"),
-    "SnfResult": (smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]])), "diagonal"),
+    "SnfResult": (oracles.smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]])), "diagonal"),
     "CriticalGroup": (CriticalGroup([2, 4]), "invariant_factors"),
     "ConeSequenceReport": (verify_cone_theorem(path(3), 2), "pic0"),
     "JoinOrderReport": (verify_join_theorem([path(2), cycle(3)]), "holds"),
@@ -66,6 +67,15 @@ def test_fields_cannot_be_assigned(name):
 def test_matrix_repr_evaluates_to_an_equal_matrix(rows, cols):
     m = IntMatrix(rows, cols, range(rows * cols))
     assert eval(repr(m)) == m
+
+
+def test_repr_of_ints_past_the_str_digit_limit():
+    # str() refuses ints of more than 4300 digits by default
+    big = "1" + "0" * 5000
+    assert repr(IntPoly([-1, 10**5000])) == f"IntPoly([-1, {big}])"
+    assert repr(IntMatrix.from_rows([[10**5000, 0], [-(10**5000), 2]])) == (
+        f"IntMatrix.from_rows([[{big}, 0], [-{big}, 2]])"
+    )
 
 
 class TestEquality:

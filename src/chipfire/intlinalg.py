@@ -16,7 +16,7 @@ Z/2**e the pivot of least 2-adic valuation divides every entry of its
 column, so the reduction mod 2**e is exact for every matrix.  Up to a
 crossover of e, each column is packed into one int of wide slots, so a row
 elimination costs one big-int product per column and the interpreter loops
-over columns instead of entries; up to a lower crossover, the recurrence
+over columns instead of entries; up to the same crossover, the recurrence
 packs each polynomial the same way.  A private kernel presents the cokernel
 of a nonsingular matrix: it splits off exactly every pivot that divides its
 row and column, finishes the rest modulo its determinant, keeps no column
@@ -393,7 +393,7 @@ def _cokernel_rows(rows: dict) -> tuple:
     r = len(left)
     if not r:
         return tuple(orders), tuple(out)
-    tau = abs(determinant(IntMatrix(r, r, [rows[i].get(j, 0) for i in left for j in top])))
+    tau = abs(_determinant_rows([[rows[i].get(j, 0) for j in top] for i in left]))
     popped += left  # no exact operation has a residual row as its source
     pivots, tau_log = _diagonalize_mod([[rows[i].get(j, 0) % tau for j in top] for i in left], tau)
     for p, pivot in pivots:
@@ -422,10 +422,14 @@ def determinant(a: IntMatrix) -> int:
     """
     if not a.is_square:
         raise InputError(f"determinant needs a square matrix, got {a.rows}x{a.cols}")
-    n = a.rows
+    return _determinant_rows(a.to_rows())
+
+
+def _determinant_rows(m: list) -> int:
+    """determinant of the square matrix given as its rows, which are consumed."""
+    n = len(m)
     if n == 0:
         return 1
-    m = a.to_rows()
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -446,11 +450,9 @@ def determinant(a: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-# Moduli of at most this many bits take the packed Hessenberg reduction,
-# wider ones the scalar one (see char_poly for the measurements).
+# Moduli of at most this many bits take the packed Hessenberg reduction and
+# recurrence, wider ones the scalar pair (see char_poly for the measurements).
 _PACKED_MAX_BITS = 300
-# The same choice for the Hessenberg recurrence, at its own crossover.
-_PACKED_RECURRENCE_MAX_BITS = 240
 
 
 def _hessenberg_scalar(rows: list, e: int) -> list:
@@ -611,11 +613,11 @@ def _recurrence_packed(band: list, e: int) -> list:
 
 def _char_poly_mod(rows: list, e: int) -> list:
     """Ascending coefficients of det(xI - a) mod 2**e, a given as its rows:
-    one of the two Hessenberg reductions and one of the two recurrences,
-    each chosen by e."""
-    reduce = _hessenberg_packed if e <= _PACKED_MAX_BITS else _hessenberg_scalar
-    recur = _recurrence_packed if e <= _PACKED_RECURRENCE_MAX_BITS else _recurrence_scalar
-    return recur(reduce(rows, e), e)
+    the packed reduction and recurrence for e <= _PACKED_MAX_BITS, the
+    scalar pair above it."""
+    if e <= _PACKED_MAX_BITS:
+        return _recurrence_packed(_hessenberg_packed(rows, e), e)
+    return _recurrence_scalar(_hessenberg_scalar(rows, e), e)
 
 
 def char_poly(a: IntMatrix) -> IntPoly:
@@ -691,9 +693,9 @@ def char_poly(a: IntMatrix) -> IntPoly:
 
     The recurrence P_(k+1) = (x - h_kk) P_k - sum_(i<k) f_i P_i, with
     P_k = det(xI - H_k) for the leading k x k block and f_i = h_ik *
-    h_(k,k-1) * ... * h_(i+1,i), is packed the same way for
-    e <= _PACKED_RECURRENCE_MAX_BITS: P_k is one int with coefficient d
-    mod 2**e in slot d, of the reduction's width w, and a step is
+    h_(k,k-1) * ... * h_(i+1,i), is packed the same way, and below the
+    same crossover: P_k is one int with coefficient d mod 2**e in slot d,
+    of the reduction's width w, and a step is
     (P_k << w) + (-h_kk mod 2**e) * P_k + sum_i (-f_i mod 2**e) * P_i,
     masked once: one product per pair (k, i) instead of i + 1.  Only the
     last polynomial is unpacked.  The recurrence alone on the bands of
@@ -701,26 +703,26 @@ def char_poly(a: IntMatrix) -> IntPoly:
     runs (same guest):
 
         star, 135                    e = 143   2.46
-        star, 230                    e = 238   2.21
-        star, 240                    e = 248   1.83
+        star, 240                    e = 248   2.26
+        star, 270                    e = 279   2.04
         path, 90                     e = 143   1.80
         path, 120                    e = 191   1.36
-        path, 150                    e = 238   1.08
-        path, 152                    e = 241   1.04
-        path, 160                    e = 254   0.81
-        path, 190                    e = 301   0.68 (7 ms scalar)
-        tree, 150                    e = 222   1.39
-        tree, 180                    e = 264   1.18
-        tree + 14 chords, 148        e = 252   1.24
-        tree + 18 chords, 180        e = 305   1.26
-        G(74, 0.3) plus a path       e = 217   1.44
-        G(90, 0.3) plus a path       e = 272   1.34
-        G(100, 0.3) plus a path      e = 302   1.25
+        path, 152                    e = 241   0.97
+        path, 170                    e = 270   0.89
+        path, 188                    e = 298   0.79 (6 ms scalar)
+        tree, 180                    e = 265   1.19 (87 ms scalar)
+        tree, 200                    e = 295   1.16 (163 ms scalar)
+        tree + 14 chords, 148        e = 250   1.27
+        tree + 16 chords, 164        e = 276   1.27 (113 ms scalar)
+        G(86, 0.3) plus a path       e = 254   1.24
+        G(90, 0.3) plus a path       e = 272   1.37
+        G(96, 0.3) plus a path       e = 291   1.17
 
     A path's band costs the scalar form about 2k multiply-adds per step,
-    and there the packed products, twice as wide, lose from about 250 bits
-    on; bands that fill in won up to 305 bits, so the crossover stays at
-    240 bits.
+    and there the packed products, twice as wide, lose a few ms from about
+    240 bits on, as they do in the reduction; every band that fills in
+    wins up to 300 bits, by tens of ms on trees, so both lanes switch at
+    the one crossover.
     """
     if not a.is_square:
         raise InputError(f"char_poly needs a square matrix, got {a.rows}x{a.cols}")

@@ -41,8 +41,8 @@ from .intlinalg import (
     _char_poly_rows,
     _cokernel_rows,
     _decimal,
+    _determinant_rows,
     _diagonalize_mod,
-    determinant,
     poly_divide_by_x,
 )
 
@@ -154,7 +154,7 @@ def reduced_laplacian(g: Graph, remove: int) -> IntMatrix:
     """Laplacian with one row and column deleted (the matrix-tree device)."""
     g._check_vertex(remove)
     _require_connected(g)
-    rows = laplacian(g).to_rows()
+    rows = _laplacian_rows(g)
     del rows[remove]
     return IntMatrix.from_rows([row[:remove] + row[remove + 1 :] for row in rows])
 
@@ -201,7 +201,8 @@ def critical_group(g: Graph) -> CriticalGroup:
 
 def spanning_tree_count(g: Graph) -> int:
     """Number of spanning trees, equal to the critical group order."""
-    return abs(determinant(reduced_laplacian(g, 0)))
+    _require_connected(g)
+    return abs(_determinant_rows([row[1:] for row in _laplacian_rows(g)[1:]]))
 
 
 def char_poly_restricted(g: Graph) -> IntPoly:
@@ -213,6 +214,15 @@ def char_poly_restricted(g: Graph) -> IntPoly:
     """
     _require_connected(g)
     return poly_divide_by_x(_char_poly_rows(_laplacian_rows(g)))
+
+
+def _restricted_char_value(g: Graph, x: int) -> int:
+    """P(x) = det(xI - L) / x for x != 0, by Bareiss on xI - L; g may be
+    disconnected (join factors)."""
+    shifted = [[-entry for entry in row] for row in _laplacian_rows(g)]
+    for i, row in enumerate(shifted):
+        row[i] += x
+    return _determinant_rows(shifted) // x
 
 
 def _check_divisor(g: Graph, d: Sequence[int]) -> tuple:

@@ -4,9 +4,9 @@ Each verifier recomputes both sides of a claimed identity through independent
 code paths and reports whether they agree.  On the Pic0 side, the cone and
 tree checks read the cached presentation of Pic0 and then diagonalize the
 generators' coordinates modulo the exponent of Pic0; the join check takes
-the matrix-tree count.  The other side of each order check is a Bareiss determinant of
-xI - L.  Everything is exact integer arithmetic, so "holds" means equality,
-not closeness.
+the matrix-tree count.  The other side of each order check is P(x), which
+sandpile evaluates by one Bareiss determinant of xI - L.  Everything is
+exact integer arithmetic, so "holds" means equality, not closeness.
 """
 
 from __future__ import annotations
@@ -22,13 +22,12 @@ from typing import Iterator, List, NamedTuple, Sequence
 from .errors import InputError, NotConnectedError
 from .graphs import Graph, cone, is_connected, is_tree, join, leaves
 from .graphs import _check_cone_size, _check_vertex_count
-from .intlinalg import IntMatrix, determinant
 from .sandpile import (
     CriticalGroup,
+    _restricted_char_value,
     _subgroup_and_quotient,
     critical_group,
     direct_sum,
-    laplacian,
     quotient_by_classes,
     spanning_tree_count,
 )
@@ -135,14 +134,6 @@ def verify_cone_theorem(g: Graph, n: int) -> ConeSequenceReport:
         splits=pic0 == direct_sum(subgroup, quotient_h),
         h_generator_count=len(quotient_h.invariant_factors),
     )
-
-
-def _restricted_char_value(g: Graph, x: int) -> int:
-    """P(x) = det(xI - L) / x for x != 0; g may be disconnected (join factors)."""
-    shifted = [[-entry for entry in row] for row in laplacian(g)]
-    for i, row in enumerate(shifted):
-        row[i] += x
-    return determinant(IntMatrix.from_rows(shifted)) // x
 
 
 def verify_join_theorem(gs: Sequence[Graph]) -> JoinOrderReport:

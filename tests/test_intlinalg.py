@@ -689,7 +689,6 @@ def recorded_reductions():
 
 
 CROSSOVER = intlinalg._PACKED_MAX_BITS
-RECURRENCE_CROSSOVER = intlinalg._PACKED_RECURRENCE_MAX_BITS
 
 
 def assert_reductions_agree(a, e):
@@ -717,7 +716,7 @@ class TestPackedReduction:
     @given(
         st.one_of(matrices_rich_in_powers_of_two(), square_matrices()),
         st.sampled_from(
-            (None, 8, 65, RECURRENCE_CROSSOVER, RECURRENCE_CROSSOVER + 1)
+            (None, 8, 65, 240, 241)
             + (CROSSOVER - 1, CROSSOVER, CROSSOVER + 1, CROSSOVER + 101)
         ),
     )
@@ -771,7 +770,7 @@ class TestPackedReduction:
             assert calls == [("_hessenberg_packed", e), ("_recurrence_packed", e)]
             assert result == oracles.char_poly(a)
         k40 = laplacian(complete(40))
-        assert modulus_bits(k40) <= hadamard_bits(k40) <= RECURRENCE_CROSSOVER < CROSSOVER
+        assert modulus_bits(k40) <= hadamard_bits(k40) <= CROSSOVER
 
     def test_a_200_cycle_takes_the_scalar_reduction(self):
         a = laplacian(cycle(200))
@@ -781,19 +780,21 @@ class TestPackedReduction:
         assert calls == [("_hessenberg_scalar", e), ("_recurrence_scalar", e)]
         assert e == 318 > CROSSOVER
 
-    def test_a_path_just_above_the_recurrence_crossover_takes_the_scalar_recurrence(self):
-        n = next(n for n in range(2, 200) if modulus_bits(laplacian(path(n))) > RECURRENCE_CROSSOVER)
+    def test_a_path_above_240_bits_takes_the_packed_pair(self):
+        # one crossover picks both lanes: a path whose centered modulus
+        # first exceeds 240 bits runs the packed reduction and recurrence
+        n = next(n for n in range(2, 200) if modulus_bits(laplacian(path(n))) > 240)
         a = laplacian(path(n))
         e = modulus_bits(a)
         with recorded_reductions() as calls:
             result = char_poly(a)
-        assert calls == [("_hessenberg_packed", e), ("_recurrence_scalar", e)]
-        assert e <= RECURRENCE_CROSSOVER + 4
-        # the packed recurrence on the same band gives the same coefficients
+        assert calls == [("_hessenberg_packed", e), ("_recurrence_packed", e)]
+        assert 240 < e <= 244 < CROSSOVER
+        # the scalar recurrence on the same band gives the same coefficients
         rows, s = centered_rows(a)
         assert s == 1
         band = intlinalg._hessenberg_packed(rows, e)
-        assert intlinalg._recurrence_packed(band, e) == intlinalg._char_poly_mod(rows, e)
+        assert intlinalg._recurrence_scalar(band, e) == intlinalg._char_poly_mod(rows, e)
         # minus the trace, and n times the one spanning tree
         assert result.coefficients[-2] == -2 * (n - 1)
         assert result.coefficients[:2] == (0, (-1) ** (n - 1) * n)
@@ -811,12 +812,12 @@ def bands(draw, e):
 
 class TestPackedRecurrence:
     """The packed Hessenberg recurrence (one int per polynomial) against
-    the scalar one, called directly with e on both sides of its crossover."""
+    the scalar one, called directly with e on both sides of the crossover."""
 
     @settings(max_examples=200, deadline=None)
     @given(
         st.sampled_from(
-            (8, 65, RECURRENCE_CROSSOVER - 1, RECURRENCE_CROSSOVER, RECURRENCE_CROSSOVER + 1, 300, 301)
+            (8, 65, 239, 240, 241, CROSSOVER - 1, CROSSOVER, CROSSOVER + 1)
         ).flatmap(lambda e: st.tuples(st.just(e), bands(e)))
     )
     def test_random_bands(self, e_band):
@@ -828,7 +829,7 @@ class TestPackedRecurrence:
         # k + 1 products of two residues below 2**e into each slot; eight
         # consecutive e fill the last byte of a slot in every way
         for m in range(41):
-            for e in (8, 65, *range(RECURRENCE_CROSSOVER - 3, RECURRENCE_CROSSOVER + 5)):
+            for e in (8, 65, *range(CROSSOVER - 3, CROSSOVER + 5)):
                 band = [[(1 << e) - 1] * min(c + 2, m) for c in range(m)]
                 assert intlinalg._recurrence_packed(band, e) == intlinalg._recurrence_scalar(band, e)
 

@@ -835,3 +835,49 @@ class TestCharPolyRestrictedRows:
     )
     def test_rows_from_the_graph_give_the_laplacians_polynomial(self, g):
         assert char_poly_restricted(g) == poly_divide_by_x(char_poly(laplacian(g)))
+
+
+class TestNoMatrixAdapters:
+    """The library hands rows to Bareiss, the char_poly lane and the Pic0
+    kernel: an IntMatrix is built only where a public function returns one."""
+
+    @staticmethod
+    def constructions(monkeypatch):
+        calls = []
+        real = IntMatrix.__init__
+
+        def spy(self, *args):
+            calls.append(args)
+            real(self, *args)
+
+        monkeypatch.setattr(IntMatrix, "__init__", spy)
+        return calls
+
+    def test_library_paths_build_none(self, monkeypatch):
+        calls = self.constructions(monkeypatch)
+        for g in (GOEL, PETERSEN, FORK_TREE, cone(FORK_TREE, 3), torus(3, 4)):
+            sandpile._reduced_snf.cache_clear()  # so the kernel runs
+            d = vertex_difference(g, 1, g.vertex_count - 1)
+            critical_group(g)
+            char_poly_restricted(g)
+            spanning_tree_count(g)
+            is_principal(g, d)
+            class_order(g, d)
+            quotient_by_classes(g, [d])
+            subgroup_invariants(g, [d])
+        sandpile._reduced_snf.cache_clear()
+        theorems.verify_cone_theorem(GOEL, 3)
+        theorems.verify_join_theorem([path(3), GOEL, cycle(4)])
+        theorems.verify_tree_bound(FORK_TREE, 4)
+        assert calls == []
+
+    def test_one_construction_per_returned_matrix(self, monkeypatch):
+        calls = self.constructions(monkeypatch)
+        for g in (path(1), GOEL, PETERSEN, cone(FORK_TREE, 3)):
+            laplacian(g)
+            assert len(calls) == 1
+            for v in range(g.vertex_count):
+                calls.clear()
+                reduced_laplacian(g, v)
+                assert len(calls) == 1
+            calls.clear()

@@ -19,11 +19,14 @@ elimination costs one big-int product per column and the interpreter loops
 over columns instead of entries; up to the same crossover, the recurrence
 packs each polynomial the same way.  A private kernel presents the cokernel
 of a nonsingular matrix: it splits off exactly every pivot that divides its
-row and column, finishes the rest modulo its determinant, keeps no column
-witness, and logs its row operations and replays them only for factors of
-order >= 2.  Its finish is one private diagonalization of a rectangular
-matrix modulo a given N, which sandpile also runs for the subgroups and
-quotients of Pic0.
+row and column, and on the block R left it runs one Bareiss pass with two
+fixed right-hand sides.  That gives tau = |det R| and a row y that maps
+coker R onto Z/tau1, tau1 the part of tau prime to gcd(y, tau), so only the
+rest, of order tau2 = tau / tau1, is finished modulo tau2.  It keeps no
+column witness, and logs its row operations and replays them only for
+factors of order >= 2.  Its finish is one private diagonalization of a
+rectangular matrix modulo a given N, which sandpile also runs for the
+subgroups and quotients of Pic0.
 """
 
 from __future__ import annotations
@@ -323,18 +326,34 @@ def _cokernel_rows(rows: dict) -> tuple:
     absolute value in its row), multiples of its row clear its column and
     column operations, not tracked, clear its row.  That splits off Z/|d|
     and leaves the same cokernel on the other rows and columns.  Sparse
-    rows keep the fill low, and the residual block R is small on graph
-    Laplacians: a class of twins leaves rows whose entries are multiples of
-    one of them, and those split off here.  With tau = |det R|,
-    tau * Z^r lies in im R, so coker R is (Z/tau)^r modulo the columns of
-    R mod tau, and _diagonalize_mod finishes R mod tau.  A pivot d leaves
-    the factor Z/gcd(d, tau), and a row that is zero mod tau leaves Z/tau.
+    rows keep the fill low, and the residual block R, r x r, is small on
+    graph Laplacians: a class of twins leaves rows whose entries are
+    multiples of one of them, and those split off here.
+
+    One Bareiss pass on [R^T | c_1 c_2], c_1 and c_2 two fixed columns of
+    small integers, gives D = +-tau, tau = |det R| = |coker R|, and by
+    fraction-free back substitution integer rows y_i with y_i R = D c_i^T
+    (the way Eberly, Giesbrecht and Villard read the largest invariant
+    factor off solves).  So every y = y_1 + lam * y_2 maps the columns of
+    R to 0 mod tau; over lam in range(_LAMBDAS) the y of least
+    g = gcd(y, tau) is kept.  tau = tau1 * tau2, where repeated gcds divide
+    every prime of g out of tau to leave tau1; nothing is factored.
+    - x -> y . x mod tau1 kills the columns of R and is onto Z/tau1, since
+      g is prime to tau1, and the tau1-primary part of coker R has order
+      tau1: that part is Z/tau1, with coordinate row y.
+    - The tau2-primary part is coker R / tau2 coker R, the cokernel of
+      R mod tau2 over Z/tau2, and _diagonalize_mod finishes it: a pivot d
+      leaves Z/gcd(d, tau2), and a row that is zero mod tau2 leaves
+      Z/tau2.  When y is a unit mod tau, as it usually is for a cyclic
+      coker R, tau2 = 1 and no finish runs.
+    tau1 and tau2 are coprime, so Z/tau1 joins the finish's largest factor
+    Z/o as Z/(tau1 * o) by CRT, and the split adds no factor.
 
     The coordinate row of the factor split off at row p is e_p E_t ... E_1,
     E_1 .. E_t the row operations done until then, mod its order; a factor
-    of R goes back through the operations mod tau and then through all the
-    exact ones.  Walking the log backwards, row dst -= c * row src becomes
-    y[src] -= c * y[dst].
+    of R goes back through the operations mod tau2 and then through all
+    the exact ones.  Walking the log backwards, row dst -= c * row src
+    becomes y[src] -= c * y[dst].
     """
     k = len(rows)
     cols = {j: set() for j in range(k)}
@@ -393,25 +412,74 @@ def _cokernel_rows(rows: dict) -> tuple:
     r = len(left)
     if not r:
         return tuple(orders), tuple(out)
-    tau = abs(_determinant_rows([[rows[i].get(j, 0) for j in top] for i in left]))
     popped += left  # no exact operation has a residual row as its source
-    pivots, tau_log = _diagonalize_mod([[rows[i].get(j, 0) % tau for j in top] for i in left], tau)
-    for p, pivot in pivots:
-        order = math.gcd(pivot, tau)
-        if order == 1:
-            continue
-        y = [int(l == p) for l in range(r)]
-        for op in reversed(tau_log):
-            if len(op) == 3:  # row dst -= c * row src
-                dst, src, c = op
-                y[src] = (y[src] - c * y[dst]) % order
-            else:  # rows (a, b) <- (s*a + t*b, e*b - f*a)
-                a, b, s, t, e, f = op
-                y[a], y[b] = (s * y[a] - f * y[b]) % order, (t * y[a] + e * y[b]) % order
+    # R^T y_i = D c_i, so y_i R = D c_i^T with D = +-tau
+    fixed = _fixed_columns(r)
+    det, (y1, y2) = _solve_rows(
+        [[rows[i].get(j, 0) for i in left] + [c[l] for c in fixed] for l, j in enumerate(top)]
+    )
+    tau = abs(det)
+    y, g = y1, math.gcd(tau, *y1)
+    for lam in range(1, _LAMBDAS):
+        if g == 1:
+            break
+        candidate = [a + lam * b for a, b in zip(y1, y2)]
+        h = math.gcd(tau, *candidate)
+        if h < g:
+            y, g = candidate, h
+    # tau = tau1 * tau2, tau1 prime to g: y is onto Z/tau1
+    tau1 = tau
+    d = math.gcd(tau1, g)
+    while d > 1:
+        tau1 //= d
+        d = math.gcd(tau1, d)
+    tau2 = tau // tau1
+    factors = []  # (order, coordinate row over the residual rows)
+    if tau2 > 1:
+        pivots, tau_log = _diagonalize_mod(
+            [[rows[i].get(j, 0) % tau2 for j in top] for i in left], tau2
+        )
+        for p, pivot in pivots:
+            order = math.gcd(pivot, tau2)
+            if order == 1:
+                continue
+            z = [int(l == p) for l in range(r)]
+            for op in reversed(tau_log):
+                if len(op) == 3:  # row dst -= c * row src
+                    dst, src, c = op
+                    z[src] = (z[src] - c * z[dst]) % order
+                else:  # rows (a, b) <- (s*a + t*b, e*b - f*a)
+                    a, b, s, t, e, f = op
+                    z[a], z[b] = (s * z[a] - f * z[b]) % order, (t * z[a] + e * z[b]) % order
+            factors.append((order, z))
+    if tau1 > 1:
+        if factors:  # Z/tau1 x Z/o = Z/(tau1 * o), o the largest order
+            i = max(range(len(factors)), key=lambda k: factors[k][0])
+            o, z = factors[i]
+            u, v = o * pow(o, -1, tau1), tau1 * pow(tau1, -1, o)
+            factors[i] = (o * tau1, [a * u + b * v for a, b in zip(y, z)])
+        else:
+            factors.append((tau1, y))
+    for order, z in factors:
         orders.append(order)
-        start = {left[l]: c for l, c in enumerate(y) if c}
+        start = {left[l]: c for l, c in enumerate(z) if c % order}
         out.append(_replay_exact(start, sources, popped, order))
     return tuple(orders), tuple(out)
+
+
+# y_1 + lam * y_2 for lam in range(_LAMBDAS) on the residual's two solutions
+_LAMBDAS = 12
+
+
+def _fixed_columns(r: int) -> tuple:
+    """Two columns of r integers in -9..9, the same on every call: the
+    right-hand sides of the residual's solve."""
+    x, columns = 1, ([], [])
+    for _ in range(r):
+        for column in columns:
+            x = (x * 1103515245 + 12345) & 0x7FFFFFFF
+            column.append((x >> 16) % 19 - 9)
+    return columns
 
 
 def determinant(a: IntMatrix) -> int:
@@ -427,27 +495,50 @@ def determinant(a: IntMatrix) -> int:
 
 def _determinant_rows(m: list) -> int:
     """determinant of the square matrix given as its rows, which are consumed."""
-    n = len(m)
-    if n == 0:
-        return 1
+    return _solve_rows(m)[0]
+
+
+def _solve_rows(m: list) -> tuple:
+    """Bareiss on [A | b_1 ... b_t], given as its n rows of n + t entries,
+    which are consumed: (det A, [x_1, ..., x_t]) with A x_i = det(A) b_i,
+    integer columns, or (0, []) for a singular A.
+
+    Row k of the eliminated matrix U holds (k+1) x (k+1) minors, and its
+    last diagonal entry is +-det A.  Each row of U is a combination of rows
+    of [A | b], so U x = (det A) u_b holds for the column u_b of U that b
+    became, and x_i = ((det A) u_bi - sum_(j>i) U_ij x_j) / U_ii is exact
+    back to front, since every x_i is an integer by Cramer's rule.
+    """
+    if not m:
+        return 1, []
+    n, width = len(m), len(m[0])
     sign = 1
     prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             pivot_row = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
             if pivot_row is None:
-                return 0
+                return 0, []
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
         pivot = m[k][k]
         for i in range(k + 1, n):
             row_i, row_k = m[i], m[k]
             head = row_i[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 row_i[j] = (row_i[j] * pivot - head * row_k[j]) // prev
-            row_i[k] = 0
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    det = sign * m[n - 1][n - 1]
+    if not det:
+        return 0, []
+    solutions = []
+    for b in range(n, width):
+        x = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = m[i]
+            x[i] = (det * row[b] - sum(row[j] * x[j] for j in range(i + 1, n))) // row[i]
+        solutions.append(x)
+    return det, solutions
 
 
 # Moduli of at most this many bits take the packed Hessenberg reduction and

@@ -17,9 +17,13 @@ The presentation eliminates exactly on every pivot d that divides its row
 and its column, which splits off Z/|d|: the +-1 entries first, then such
 pivots as the multiples of lam that a class of m >= 3 twins leaves once its
 +-1 pivots are gone (lam is the twins' degree, plus one for adjacent twins,
-and the class forces (Z/lam)^(m-2) into Pic0).  The small block left is
-finished modulo its determinant tau with no column witness, so the d_i need
-not form a divisibility chain.
+and the class forces (Z/lam)^(m-2) into Pic0).  On the small block R left,
+one fraction-free solve gives tau = |det R| and a coordinate row onto
+Z/tau1, tau1 the part of tau prime to the row's gcd with tau: all of
+coker R when it is cyclic and the row is a unit mod tau, as it is for most
+random graphs.  Only the rest, of order tau2 = tau / tau1, is finished
+modulo tau2, and Z/tau1 joins one of its factors by CRT.  No column witness
+is kept, so the d_i need not form a divisibility chain.
 
 Divisors are plain integer vectors indexed by vertex; the degree-zero
 constraint is a checked precondition rather than a separate type.

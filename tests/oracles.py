@@ -7,6 +7,7 @@ library computes another way; tests assert that both agree.
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -199,8 +200,11 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
 # The Pic0 kernel with its row witness carried along: every exact row
 # operation also updates a sparse row of U, and every row mod tau carries
 # the operations done on it as [R | P].  The library logs its row
-# operations instead and replays them only for factors of order >= 2;
-# both must return identical orders and rows.
+# operations instead and replays them only for factors of order >= 2, and
+# it reads the part of the residual whose primes a solve certifies cyclic
+# off that solve, finishing only the rest modulo tau2.  Coordinate rows are
+# not unique, so the two agree on rows only when no residual block is left;
+# both must present the same group, which assert_presents_cokernel checks.
 
 
 def cokernel_rows_witnessed(rows: dict) -> tuple:
@@ -372,6 +376,27 @@ def cokernel_rows_witnessed(rows: dict) -> tuple:
 # orders with (a, b) -> (gcd(a, b), lcm(a, b)); these are two routes that do
 # not: the SNF of the diagonal matrix of orders (the library's earlier code),
 # and elementary divisors from a factorization of every order.
+
+
+def assert_presents_cokernel(a: Sequence[Sequence[int]], orders: tuple, rows: tuple):
+    """Assert that x -> ((rows[i] . x) mod orders[i]) maps coker a, for a
+    nonsingular k x k matrix a given as its rows, isomorphically onto the
+    sum of the Z/orders[i]: every order is >= 2, the orders multiply to
+    |det a|, every column of a maps to 0, and the images of the unit
+    vectors leave no quotient.  Onto plus equal orders makes the map an
+    isomorphism."""
+    k = len(a)
+    assert all(o >= 2 for o in orders)
+    assert math.prod(orders) == abs(determinant(IntMatrix(k, k, [x for row in a for x in row])))
+    for o, row in zip(orders, rows):
+        assert len(row) == k
+        assert all(sum(map(operator.mul, row, column)) % o == 0 for column in zip(*a))
+    s = len(orders)
+    if s:
+        images = IntMatrix.from_rows(
+            [list(row) + [o * (l == i) for l in range(s)] for i, (o, row) in enumerate(zip(orders, rows))]
+        )
+        assert all(d == 1 for d in smith_normal_form(images).diagonal)
 
 
 def from_cyclic_orders(orders: Iterable[int]) -> CriticalGroup:

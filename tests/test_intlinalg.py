@@ -2,7 +2,6 @@
 
 import contextlib
 import math
-import operator
 import random
 
 import pytest
@@ -367,27 +366,14 @@ class TestCokernelModDeterminant:
             return {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(a)}
 
         orders, rows = intlinalg._cokernel_rows(sparse_rows())
-        # the replayed rows are the ones the witnessed kernel carries along
-        assert (orders, rows) == oracles.cokernel_rows_witnessed(sparse_rows())
-        k = a.rows
-        assert all(o >= 2 for o in orders)
-        assert math.prod(orders) == abs(determinant(a))
+        # coordinate rows are not unique, so the witnessed kernel is matched
+        # on the group, and the rows are checked to present it
+        witnessed, _ = oracles.cokernel_rows_witnessed(sparse_rows())
+        assert CriticalGroup.from_cyclic_orders(orders) == CriticalGroup.from_cyclic_orders(witnessed)
         assert CriticalGroup.from_cyclic_orders(orders) == CriticalGroup.from_diagonal(
             smith_normal_form(a).diagonal
         )
-        # every column of a maps to 0, so x -> (rows[i] . x mod orders[i])
-        # is defined on coker a ...
-        for o, row in zip(orders, rows):
-            assert len(row) == k
-            assert all(sum(map(operator.mul, row, column)) % o == 0 for column in zip(*a))
-        # ... and it is onto: the unit vectors' images leave no quotient
-        s = len(orders)
-        if s:
-            images = IntMatrix.from_rows(
-                [list(row) + [o * (l == i) for l in range(s)] for i, (o, row) in enumerate(zip(orders, rows))]
-            )
-            assert all(d == 1 for d in smith_normal_form(images).diagonal)
-        # onto plus equal orders makes it an isomorphism
+        oracles.assert_presents_cokernel(a.to_rows(), orders, rows)
 
     @settings(max_examples=300, deadline=None)
     @given(nonsingular_matrices())
@@ -400,11 +386,15 @@ class TestCokernelModDeterminant:
         self.assert_presents_cokernel(a)
 
     def test_entry_equal_to_the_pivot_is_cleared_by_plain_elimination(self):
-        # no entry divides its row and none is a unit mod tau = 12: the
-        # pivot 3 divides the 3 below it, so row 1 loses row 0 and row 0
-        # keeps its coordinates; an extended-gcd step would swap the rows'
-        # roles instead
-        assert intlinalg._cokernel_rows({0: {0: 3, 1: 4}, 1: {0: 3, 1: 8}}) == ((12,), ((7, 1),))
+        # no entry is a unit mod 12: the pivot 3 divides the 3 below it, so
+        # row 1 loses row 0 and row 0 stays the pivot row; an extended-gcd
+        # step would swap the rows' roles instead
+        pivots, log = intlinalg._diagonalize_mod([[3, 4], [3, 8]], 12)
+        assert log[0] == (1, 0, 1)
+        assert pivots == [(0, 1), (1, 0)]
+        # in the kernel no entry divides its row, so the 2 x 2 block is
+        # the residual, with tau = 12
+        self.assert_presents_cokernel(IntMatrix.from_rows([[3, 4], [3, 8]]))
 
     def test_entries_the_pivot_divides_are_cleared_by_plain_elimination_mod_n(self):
         # (g, s, t) = _xgcd(d, d) is (d, 0, 1), so an extended-gcd step on an
@@ -476,6 +466,71 @@ class TestCokernelModDeterminant:
             assert CriticalGroup.from_cyclic_orders(orders) == CriticalGroup.from_diagonal(
                 smith_normal_form(a).diagonal
             )
+
+
+class TestResidualSplit:
+    """The residual block R after the exact stage: one solve y R = D c^T
+    with D = +-tau, tau = tau1 * tau2 with tau1 free of the primes of
+    gcd(y, tau), Z/tau1 read off y, and only R mod tau2 diagonalized."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record each solve's |det| and each modulus _diagonalize_mod gets."""
+        taus, moduli = [], []
+        real_solve, real_diagonalize = intlinalg._solve_rows, intlinalg._diagonalize_mod
+
+        def solve(m):
+            det, solutions = real_solve(m)
+            taus.append(abs(det))
+            return det, solutions
+
+        def diagonalize(m, n):
+            moduli.append(n)
+            return real_diagonalize(m, n)
+
+        monkeypatch.setattr(intlinalg, "_solve_rows", solve)
+        monkeypatch.setattr(intlinalg, "_diagonalize_mod", diagonalize)
+        return taus, moduli
+
+    @pytest.mark.parametrize(
+        "a, moduli, orders",
+        [
+            # coker R = Z/5: y is a unit mod 5, so tau2 = 1 and no finish runs
+            ([[2, 3], [3, 7]], [], (5,)),
+            # Z/2 x Z/18: every y is even, so tau2 = 4 is finished, to
+            # Z/2 x Z/2, and tau1 = 9 joins the first Z/2 by CRT
+            ([[4, 6], [6, 0]], [4], (18, 2)),
+            # Z/2 x Z/8: tau = 16 has only the prime of g, so tau1 = 1 and
+            # the finish runs modulo the whole of tau
+            ([[4, 6], [0, 4]], [16], (2, 8)),
+            # det R = 1: no factor and no finish
+            ([[3, 2], [4, 3]], [], ()),
+        ],
+        ids=["tau2-is-1", "crt-merge", "tau1-is-1", "tau-is-1"],
+    )
+    def test_one_input_per_branch(self, monkeypatch, a, moduli, orders):
+        taus, seen = self.spy(monkeypatch)
+        presentation = intlinalg._cokernel_rows(
+            {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(a)}
+        )
+        # no entry divides its row and column, so all of a is the residual
+        assert taus == [abs(cofactor_determinant(a))]
+        assert seen == moduli
+        assert presentation[0] == orders
+        oracles.assert_presents_cokernel(a, *presentation)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_a_cyclic_gnp_is_never_finished_modulo_the_whole_determinant(self, monkeypatch, seed):
+        # seeded G(40, 0.3) with cyclic Pic0 and a residual of about 20
+        # rows: seed 3 finishes only a small tau2, seed 4 nothing at all
+        taus, moduli = self.spy(monkeypatch)
+        g = random_connected_graph(random.Random(seed), 40, 0.3)
+        sandpile._reduced_snf.cache_clear()
+        group = sandpile.critical_group(g)
+        assert len(group.invariant_factors) == 1
+        assert taus == [group.order]
+        assert len(moduli) == (seed == 3)
+        assert all(n < taus[0] and taus[0] % n == 0 for n in moduli)
 
 
 class TestCharPolyModularEdgeCases:

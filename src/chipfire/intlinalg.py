@@ -26,7 +26,9 @@ rest, of order tau2 = tau / tau1, is finished modulo tau2.  It keeps no
 column witness, and logs its row operations and replays them only for
 factors of order >= 2.  Its finish is one private diagonalization of a
 rectangular matrix modulo a given N, which sandpile also runs for the
-subgroups and quotients of Pic0.
+subgroups and quotients of Pic0.  The kernel's exact stage also gives
+|det| of sparse rows, with Bareiss only on the block it leaves: sandpile
+takes |P(x)| and the matrix-tree count that way, with no dense matrix.
 """
 
 from __future__ import annotations
@@ -226,23 +228,30 @@ def _diagonalize_mod(m: list, n: int) -> tuple:
     operations invertible mod n and column operations (not tracked).  The
     rows are consumed.
 
-    A unit pivot clears its column with its inverse; otherwise the least
+    A unit pivot clears its column with its inverse, which is computed only
+    when some active row has a nonzero entry there; otherwise the least
     nonzero entry is the pivot, an entry it divides is cleared by plain
     elimination, and any other is merged with it by a 2x2 extended-gcd step,
-    by rows in its column and by columns in its row.  Each step leaves a
-    smaller pivot, so the loop ends.  Once a pivot's row and column are
-    done, its other entries are multiples of it, which column operations
-    would clear without touching another row, so the finished rows are left
-    as they are.
+    by rows in its column and by columns in its row.  A column step on the
+    last active row, with no other row to carry along, only sets the pair
+    (d, b) to (gcd(d, b) mod n, 0).  Each step leaves a smaller pivot, so
+    the loop ends.  Once a pivot's row and column are done, its other
+    entries are multiples of it, which column operations would clear
+    without touching another row, so the finished rows are left as they
+    are.  Column steps alone diagonalize a single row, so one row gives the
+    pivot gcd(row) mod n and an empty log.
 
     Returns (pivots, log).  pivots lists (row, pivot) for every row, in the
     order the rows were finished, with pivot 0 for a row that ends zero mod
     n: the cokernel of m over Z/n is isomorphic to the sum of the
-    Z/gcd(pivot, n), and its column span to the sum of the pivot * Z/n.
+    Z/gcd(pivot, n), and its column span to the sum of the pivot * Z/n.  A
+    pivot matters only up to a unit mod n, through gcd(pivot, n).
     log holds the row operations in order: (dst, src, c) for row
     dst -= c * row src, and (p, i, s, t, e, f) for rows
     (p, i) <- (s*p + t*i, e*i - f*p).
     """
+    if len(m) == 1:
+        return [(0, math.gcd(*m[0]) % n)], []
     width = len(m[0]) if m else 0
     log = []
 
@@ -270,10 +279,11 @@ def _diagonalize_mod(m: list, n: int) -> tuple:
         )
         if pivot is not None:
             p, q = pivot
-            inv = pow(m[p][q], -1, n)
             active.remove(p)
-            for i in active:
-                if m[i][q]:
+            below = [i for i in active if m[i][q]]
+            if below:
+                inv = pow(m[p][q], -1, n)
+                for i in below:
                     combine(i, p, m[i][q] * inv % n)
             pivots.append((p, m[p][q]))
             continue
@@ -299,6 +309,9 @@ def _diagonalize_mod(m: list, n: int) -> tuple:
                 break
             # column step on (q, j); column q is zero outside row p
             b = m[p][j]
+            if not active:
+                m[p][q], m[p][j] = math.gcd(d, b) % n, 0
+                continue
             g, s, t = _xgcd(d, b)
             e, f = d // g, b // g
             for row in [m[i] for i in active] + [m[p]]:
@@ -307,6 +320,89 @@ def _diagonalize_mod(m: list, n: int) -> tuple:
         pivots.append((p, m[p][q]))
     pivots += [(i, 0) for i in active]
     return pivots, log
+
+
+def _split_exact(rows: dict) -> tuple:
+    """The exact stage of the cokernel kernel, on a k x k matrix a given as
+    sparse rows {i: {j: a_ij}} of its nonzero entries, i and j in 0..k-1,
+    each row's keys in ascending order (the order breaks ties between
+    pivots).  The rows are consumed, down to the residual block R.
+
+    While some row has an entry d that divides every entry of its row and
+    of its column (a +-1 entry always does; d then has the least absolute
+    value in its row), multiples of its row clear its column and column
+    operations, not tracked, clear its row.  That splits off Z/|d| and
+    leaves the same cokernel on the other rows and columns, and it takes
+    the factor |d| out of |det a|.  Sparse rows keep the fill low: shortest
+    row first, then its pivot in the shortest column, and a row is queued
+    again whenever an elimination changes it.
+
+    Returns (pivots, sources, top).  pivots lists (p, |d|) for each row p
+    split off, in order; sources[i] lists (p, c) for each row operation
+    row i -= c * row p, in order; rows is left holding R on its rows and on
+    the columns top, in ascending order.  A row that ends zero is listed
+    with pivot 0, and the stage stops there: a is singular.
+    """
+    k = len(rows)
+    cols = {j: set() for j in range(k)}
+    for i, row in rows.items():
+        for j in row:
+            cols[j].add(i)
+    sources = [[] for _ in range(k)]
+    pivots = []
+    queue = [(len(row), i) for i, row in rows.items()]
+    heapq.heapify(queue)
+    while queue:
+        length, p = heapq.heappop(queue)
+        if p not in rows or len(rows[p]) != length:
+            continue
+        if not length:
+            pivots.append((p, 0))
+            break
+        least = min(map(abs, rows[p].values()))
+        if least > 1 and any(x % least for x in rows[p].values()):
+            continue
+        candidates = [
+            j
+            for j, x in rows[p].items()
+            if abs(x) == least and (least == 1 or all(rows[i][j] % least == 0 for i in cols[j]))
+        ]
+        if not candidates:
+            continue
+        q = min(candidates, key=lambda j: len(cols[j]))
+        prow = rows.pop(p)
+        pivot = prow.pop(q)
+        for j in prow:
+            cols[j].discard(p)
+        pivots.append((p, least))
+        for i in cols.pop(q) - {p}:
+            row = rows[i]
+            c = row.pop(q) // pivot
+            for j, x in prow.items():
+                y = row.get(j, 0) - c * x
+                if y:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = y
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            sources[i].append((p, c))
+            heapq.heappush(queue, (len(row), i))
+    return pivots, sources, sorted(cols)
+
+
+def _abs_determinant(rows: dict) -> int:
+    """|det a| for a square matrix a given as sparse rows, as _split_exact
+    takes them but in any key order (it only breaks ties), which are
+    consumed: the product of the pivots the exact stage splits off times
+    |det R| of the residual block R by Bareiss, and 0 for a singular a."""
+    pivots, _, top = _split_exact(rows)
+    product = math.prod(d for _, d in pivots)
+    if product and rows:
+        residual = [[row.get(j, 0) for j in top] for _, row in sorted(rows.items())]
+        product *= abs(_determinant_rows(residual))
+    return product
 
 
 def _cokernel_rows(rows: dict) -> tuple:
@@ -321,14 +417,10 @@ def _cokernel_rows(rows: dict) -> tuple:
     and no row witness either: the kernel logs its row operations and
     replays them only for factors of order >= 2.
 
-    First, while some row has an entry d that divides every entry of its
-    row and of its column (a +-1 entry always does; d then has the least
-    absolute value in its row), multiples of its row clear its column and
-    column operations, not tracked, clear its row.  That splits off Z/|d|
-    and leaves the same cokernel on the other rows and columns.  Sparse
-    rows keep the fill low, and the residual block R, r x r, is small on
-    graph Laplacians: a class of twins leaves rows whose entries are
-    multiples of one of them, and those split off here.
+    First the exact stage, _split_exact, splits off Z/|d| for every pivot d
+    that divides its row and its column.  The residual block R, r x r, is
+    small on graph Laplacians: a class of twins leaves rows whose entries
+    are multiples of one of them, and those split off there.
 
     One Bareiss pass on [R^T | c_1 c_2], c_1 and c_2 two fixed columns of
     small integers, gives D = +-tau, tau = |det R| = |coker R|, and by
@@ -355,60 +447,18 @@ def _cokernel_rows(rows: dict) -> tuple:
     the exact ones.  Walking the log backwards, row dst -= c * row src
     becomes y[src] -= c * y[dst].
     """
-    k = len(rows)
-    cols = {j: set() for j in range(k)}
-    for i, row in rows.items():
-        for j in row:
-            cols[j].add(i)
-    # the exact row operations, logged by row: sources[j] holds (i, c) for
-    # each row j -= c * row i; popped lists the pivot rows in order
-    sources = [[] for _ in range(k)]
-    popped = []
-
-    # shortest row first, then its pivot in the shortest column; a row is
-    # queued again whenever an elimination changes it
+    pivots, sources, top = _split_exact(rows)
+    # the pivot rows in the order they were split off; no later operation
+    # has row p as its destination, so the rows split off after p add
+    # nothing to its replay
+    popped = [p for p, _ in pivots]
     orders, out = [], []
-    queue = [(len(row), i) for i, row in rows.items()]
-    heapq.heapify(queue)
-    while queue:
-        length, p = heapq.heappop(queue)
-        if p not in rows or len(rows[p]) != length:
-            continue
-        least = min(map(abs, rows[p].values()))
-        if least > 1 and any(x % least for x in rows[p].values()):
-            continue
-        candidates = [
-            j
-            for j, x in rows[p].items()
-            if abs(x) == least and (least == 1 or all(rows[i][j] % least == 0 for i in cols[j]))
-        ]
-        if not candidates:
-            continue
-        q = min(candidates, key=lambda j: len(cols[j]))
-        prow = rows.pop(p)
-        pivot = prow.pop(q)
-        for j in prow:
-            cols[j].discard(p)
-        popped.append(p)
-        if least > 1:  # column operations clear the rest of row p
+    for t, (p, least) in enumerate(pivots):
+        if least > 1:  # column operations cleared the rest of row p
             orders.append(least)
-            out.append(_replay_exact({p: 1}, sources, popped, least))
-        for i in cols.pop(q) - {p}:
-            row = rows[i]
-            c = row.pop(q) // pivot
-            for j, x in prow.items():
-                y = row.get(j, 0) - c * x
-                if y:
-                    if j not in row:
-                        cols[j].add(i)
-                    row[j] = y
-                else:
-                    del row[j]
-                    cols[j].discard(i)
-            sources[i].append((p, c))
-            heapq.heappush(queue, (len(row), i))
+            out.append(_replay_exact({p: 1}, sources, popped[: t + 1], least))
 
-    left, top = sorted(rows), sorted(cols)
+    left = sorted(rows)
     r = len(left)
     if not r:
         return tuple(orders), tuple(out)

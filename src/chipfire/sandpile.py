@@ -25,6 +25,11 @@ random graphs.  Only the rest, of order tau2 = tau / tau1, is finished
 modulo tau2, and Z/tau1 joins one of its factors by CRT.  No column witness
 is kept, so the d_i need not form a divisibility chain.
 
+The matrix-tree count |det Lred| and the value |P(x)| = |det(L - xI)| / |x|
+of the restricted characteristic polynomial come from sparse rows too: the
+kernel's exact stage splits off the pivots that divide their row and
+column, and Bareiss runs only on the block left, which is empty on a path.
+
 Divisors are plain integer vectors indexed by vertex; the degree-zero
 constraint is a checked precondition rather than a separate type.
 """
@@ -42,10 +47,10 @@ from .graphs import Graph, is_connected
 from .intlinalg import (
     IntMatrix,
     IntPoly,
+    _abs_determinant,
     _char_poly_rows,
     _cokernel_rows,
     _decimal,
-    _determinant_rows,
     _diagonalize_mod,
     poly_divide_by_x,
 )
@@ -182,20 +187,22 @@ class _Presentation:
         return [sum(map(mul, row, x)) % m for row, m in zip(self.rows, self.factors)]
 
 
-@lru_cache(maxsize=256)
-def _reduced_snf(g: Graph) -> _Presentation:
-    """The cached presentation of Pic0(g), from the cokernel of Lred.
-
-    The sparse rows of Lred (vertex 0 deleted, so vertex v is index v - 1)
-    come straight from the adjacency, with no dense Laplacian.
-    """
-    _require_connected(g)
+def _reduced_rows(g: Graph) -> dict:
+    """The sparse rows of Lred, vertex 0 deleted, so vertex v is index
+    v - 1, straight from the adjacency, with no dense Laplacian."""
     rows = {}
     for v in range(1, g.vertex_count):
         neighbors = g.neighbors(v)
         row = [(w - 1, -1) for w in neighbors if w] + [(v - 1, len(neighbors))]
         rows[v - 1] = dict(sorted(row))
-    return _Presentation(*_cokernel_rows(rows))
+    return rows
+
+
+@lru_cache(maxsize=256)
+def _reduced_snf(g: Graph) -> _Presentation:
+    """The cached presentation of Pic0(g), from the cokernel of Lred."""
+    _require_connected(g)
+    return _Presentation(*_cokernel_rows(_reduced_rows(g)))
 
 
 def critical_group(g: Graph) -> CriticalGroup:
@@ -204,9 +211,10 @@ def critical_group(g: Graph) -> CriticalGroup:
 
 
 def spanning_tree_count(g: Graph) -> int:
-    """Number of spanning trees, equal to the critical group order."""
+    """Number of spanning trees, equal to the critical group order: |det Lred|,
+    from the exact stage of the Pic0 kernel and Bareiss on its residual."""
     _require_connected(g)
-    return abs(_determinant_rows([row[1:] for row in _laplacian_rows(g)[1:]]))
+    return _abs_determinant(_reduced_rows(g))
 
 
 def char_poly_restricted(g: Graph) -> IntPoly:
@@ -221,12 +229,18 @@ def char_poly_restricted(g: Graph) -> IntPoly:
 
 
 def _restricted_char_value(g: Graph, x: int) -> int:
-    """P(x) = det(xI - L) / x for x != 0, by Bareiss on xI - L; g may be
-    disconnected (join factors)."""
-    shifted = [[-entry for entry in row] for row in _laplacian_rows(g)]
-    for i, row in enumerate(shifted):
-        row[i] += x
-    return _determinant_rows(shifted) // x
+    """|P(x)| = |det(xI - L)| / |x| for x != 0; g may be disconnected (join
+    factors).  The callers use only the absolute value, so this is
+    |det(L - xI)| from the sparse rows of L - xI, by the exact stage of the
+    Pic0 kernel and Bareiss on its residual, with no dense matrix."""
+    rows = {}
+    for v in range(g.vertex_count):
+        neighbors = g.neighbors(v)
+        row = dict.fromkeys(neighbors, -1)
+        if len(neighbors) != x:
+            row[v] = len(neighbors) - x
+        rows[v] = row
+    return _abs_determinant(rows) // abs(x)
 
 
 def _check_divisor(g: Graph, d: Sequence[int]) -> tuple:

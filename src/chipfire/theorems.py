@@ -4,9 +4,11 @@ Each verifier recomputes both sides of a claimed identity through independent
 code paths and reports whether they agree.  On the Pic0 side, the cone and
 tree checks read the cached presentation of Pic0 and then diagonalize the
 generators' coordinates modulo the exponent of Pic0; the join check takes
-the matrix-tree count.  The other side of each order check is P(x), which
-sandpile evaluates by one Bareiss determinant of xI - L.  Everything is
-exact integer arithmetic, so "holds" means equality, not closeness.
+the matrix-tree count.  The other side of each order check is |P(x)|,
+which sandpile takes as |det(L - xI)| / |x| from the sparse rows of
+L - xI: exact elimination on the pivots that divide their row and column,
+then Bareiss on the block left.  Everything is exact integer arithmetic,
+so "holds" means equality, not closeness.
 """
 
 from __future__ import annotations

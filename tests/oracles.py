@@ -197,6 +197,90 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     )
 
 
+# The library's earlier diagonalization mod n: an inverse for every unit
+# pivot and an extended gcd for every column step, even where no other row
+# is left to use them.  The library skips both there, and must leave the
+# pivots and the log of every call with two or more rows as they were.
+
+
+def diagonalize_mod_xgcd(m: list, n: int, width: int = None) -> tuple:
+    """(pivots, log) of intlinalg._diagonalize_mod for the matrix m of
+    residues mod n, given as its rows, which are consumed.  Only the first
+    width columns (all by default) are diagonalized; row operations carry
+    the other columns along, so they can record the operations.
+
+    A unit pivot clears its column with its inverse; otherwise the least
+    nonzero entry is the pivot, an entry it divides is cleared by plain
+    elimination, and any other is merged with it by a 2x2 extended-gcd step,
+    by rows in its column and by columns in its row.
+    """
+    if width is None:
+        width = len(m[0]) if m else 0
+    log = []
+
+    def combine(dst, src, c):
+        m[dst] = [(x - c * y) % n for x, y in zip(m[dst], m[src])]
+        log.append((dst, src, c))
+
+    def merge(p, i, s, t, e, f):
+        x, y = m[p], m[i]
+        m[p] = [(s * v + t * w) % n for v, w in zip(x, y)]
+        m[i] = [(e * w - f * v) % n for v, w in zip(x, y)]
+        log.append((p, i, s, t, e, f))
+
+    pivots = []
+    active = list(range(len(m)))
+    while active:
+        pivot = next(
+            (
+                (i, j)
+                for i in active
+                for j in range(width)
+                if m[i][j] and math.gcd(m[i][j], n) == 1
+            ),
+            None,
+        )
+        if pivot is not None:
+            p, q = pivot
+            inv = pow(m[p][q], -1, n)
+            active.remove(p)
+            for i in active:
+                if m[i][q]:
+                    combine(i, p, m[i][q] * inv % n)
+            pivots.append((p, m[p][q]))
+            continue
+        entries = [(m[i][j], i, j) for i in active for j in range(width) if m[i][j]]
+        if not entries:
+            break
+        _, p, q = min(entries)
+        active.remove(p)
+        while True:
+            for i in active:
+                b = m[i][q]
+                if not b:
+                    continue
+                d = m[p][q]
+                if b % d == 0:
+                    combine(i, p, b // d)
+                else:
+                    g, s, t = _xgcd(d, b)
+                    merge(p, i, s, t, d // g, b // g)
+            d = m[p][q]
+            j = next((j for j in range(width) if j != q and m[p][j] % d), None)
+            if j is None:
+                break
+            # column step on (q, j); column q is zero outside row p
+            b = m[p][j]
+            g, s, t = _xgcd(d, b)
+            e, f = d // g, b // g
+            for row in [m[i] for i in active] + [m[p]]:
+                v, w = row[q], row[j]
+                row[q], row[j] = (s * v + t * w) % n, (e * w - f * v) % n
+        pivots.append((p, m[p][q]))
+    pivots += [(i, 0) for i in active]
+    return pivots, log
+
+
 # The Pic0 kernel with its row witness carried along: every exact row
 # operation also updates a sparse row of U, and every row mod tau carries
 # the operations done on it as [R | P].  The library logs its row
@@ -227,14 +311,10 @@ def cokernel_rows_witnessed(rows: dict) -> tuple:
     graph Laplacians: a class of twins leaves rows whose entries are
     multiples of one of them, and those split off here.  With
     tau = |det R|, tau * Z^r lies in im R, so coker R is (Z/tau)^r modulo
-    the columns of R mod tau.  R is finished mod tau by row operations
-    invertible mod tau (tracked in P) and column operations (not tracked):
-    a unit pivot clears its column with its inverse; otherwise the least
-    nonzero entry is the pivot, an entry it divides is cleared by plain
-    elimination, and any other is merged with it by a 2x2 extended-gcd
-    step, by rows in its column and by columns in its row.  A pivot d leaves
-    the factor Z/gcd(d, tau) with coordinate row (P U)_d, and a row that is
-    zero mod tau leaves Z/tau.
+    the columns of R mod tau.  R is finished mod tau by
+    diagonalize_mod_xgcd, whose row operations are tracked in P.  A pivot d
+    leaves the factor Z/gcd(d, tau) with coordinate row (P U)_d, and a row
+    that is zero mod tau leaves Z/tau.
     """
     k = len(rows)
     cols = {j: set() for j in range(k)}
@@ -300,64 +380,8 @@ def cokernel_rows_witnessed(rows: dict) -> tuple:
         [rows[i].get(j, 0) % tau for j in top] + [int(l == c) for c in range(r)]
         for l, i in enumerate(left)
     ]
-
-    def combine(dst, src, c):  # row dst -= c * row src, mod tau
-        m[dst] = [(x - c * y) % tau for x, y in zip(m[dst], m[src])]
-
-    def merge(p, i, s, t, e, f):  # rows (p, i) <- (s*p + t*i, e*i - f*p), mod tau
-        x, y = m[p], m[i]
-        m[p] = [(s * v + t * w) % tau for v, w in zip(x, y)]
-        m[i] = [(e * w - f * v) % tau for v, w in zip(x, y)]
-
-    pivots = []  # (row, order) for every pivot that is not a unit
-    active = list(range(r))
-    while active:
-        pivot = next(
-            (
-                (i, j)
-                for i in active
-                for j in range(r)
-                if m[i][j] and math.gcd(m[i][j], tau) == 1
-            ),
-            None,
-        )
-        if pivot is not None:
-            p, q = pivot
-            inv = pow(m[p][q], -1, tau)
-            active.remove(p)
-            for i in active:
-                if m[i][q]:
-                    combine(i, p, m[i][q] * inv % tau)
-            continue
-        entries = [(m[i][j], i, j) for i in active for j in range(r) if m[i][j]]
-        if not entries:
-            break
-        _, p, q = min(entries)
-        active.remove(p)
-        while True:
-            for i in active:
-                b = m[i][q]
-                if not b:
-                    continue
-                d = m[p][q]
-                if b % d == 0:
-                    combine(i, p, b // d)
-                else:
-                    g, s, t = _xgcd(d, b)
-                    merge(p, i, s, t, d // g, b // g)
-            d = m[p][q]
-            j = next((j for j in range(r) if j != q and m[p][j] % d), None)
-            if j is None:
-                break
-            # column step on (q, j); column q is zero outside row p
-            b = m[p][j]
-            g, s, t = _xgcd(d, b)
-            e, f = d // g, b // g
-            for row in [m[i] for i in active] + [m[p]]:
-                v, w = row[q], row[j]
-                row[q], row[j] = (s * v + t * w) % tau, (e * w - f * v) % tau
-        pivots.append((p, math.gcd(m[p][q], tau)))
-    pivots += [(i, tau) for i in active]
+    pivots, _ = diagonalize_mod_xgcd(m, tau, r)
+    pivots = [(p, math.gcd(pivot, tau)) for p, pivot in pivots]
 
     for p, order in pivots:
         if order == 1:
@@ -586,6 +610,25 @@ def brute_force_spanning_trees(g: Graph) -> int:
         if all(uf.union(u, v) for u, v in subset):
             count += 1
     return count
+
+
+# P(x) and the matrix-tree count by Bareiss on dense matrices, the library's
+# earlier route.  The library now builds sparse rows from the adjacency,
+# splits off the pivots that divide their row and column exactly, and runs
+# Bareiss only on the block left, so it returns |P(x)|.
+
+
+def restricted_char_value(g: Graph, x: int) -> int:
+    """P(x) = det(xI - L) / x for x != 0, with its sign; g may be
+    disconnected."""
+    rows = [[x * (i == j) - e for j, e in enumerate(row)] for i, row in enumerate(laplacian(g))]
+    return determinant(IntMatrix.from_rows(rows)) // x
+
+
+def spanning_tree_count(g: Graph) -> int:
+    """|det Lred| with vertex 0 deleted, for a connected g."""
+    _require_connected(g)
+    return abs(determinant(reduced_laplacian(g, 0)))
 
 
 def has_conformity_property(g: Graph, s: Iterable[int]) -> bool:

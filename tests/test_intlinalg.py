@@ -203,6 +203,29 @@ class TestDeterminant:
         assert determinant(a) == cofactor_determinant(rows)
 
 
+class TestAbsDeterminantOfSparseRows:
+    """|det a| by the exact stage of the cokernel kernel and Bareiss on its
+    residual, against the cofactor expansion."""
+
+    @staticmethod
+    def sparse(rows):
+        return {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(rows)}
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices(max_rows=6, max_cols=6).filter(lambda m: m.is_square), st.data())
+    def test_against_cofactor_oracle(self, a, data):
+        rows = a.to_rows()
+        if rows and data.draw(st.booleans()):  # a repeated row makes a singular
+            rows[-1] = list(rows[0])
+        assert intlinalg._abs_determinant(self.sparse(rows)) == abs(cofactor_determinant(rows))
+
+    def test_zero_rows_and_the_empty_matrix(self):
+        assert intlinalg._abs_determinant({}) == 1
+        assert intlinalg._abs_determinant({0: {0: 2}, 1: {}}) == 0
+        # row 1 ends zero after row 0 clears the shared column
+        assert intlinalg._abs_determinant(self.sparse([[1, 2], [2, 4]])) == 0
+
+
 class TestCharPoly:
     def test_worked_example(self):
         a = IntMatrix.from_rows([[1, -1], [-1, 1]])
@@ -466,6 +489,99 @@ class TestCokernelModDeterminant:
             assert CriticalGroup.from_cyclic_orders(orders) == CriticalGroup.from_diagonal(
                 smith_normal_form(a).diagonal
             )
+
+
+def residues_mod(max_rows=4, max_cols=5, min_rows=1):
+    """(rows, n): a matrix of residues mod n, n with repeated primes."""
+    moduli = st.sampled_from([4, 8, 9, 12, 18, 27, 32, 36, 72, 100, 125, 144, 2**5 * 3**3, 7 * 49])
+    return st.tuples(
+        st.integers(min_rows, max_rows), st.integers(0, max_cols), moduli
+    ).flatmap(
+        lambda rwn: st.tuples(
+            st.lists(
+                st.lists(st.integers(0, rwn[2] - 1), min_size=rwn[1], max_size=rwn[1]),
+                min_size=rwn[0],
+                max_size=rwn[0],
+            ),
+            st.just(rwn[2]),
+        )
+    )
+
+
+class TestDiagonalizeMod:
+    """_diagonalize_mod skips what no row uses: one row is only a gcd, a unit
+    pivot with nothing below it computes no inverse, and the column steps of
+    the last active row take a plain gcd."""
+
+    @staticmethod
+    def spy_pow(monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return pow(*args)
+
+        # a module global shadows the builtin for every call in intlinalg
+        monkeypatch.setattr(intlinalg, "pow", spy, raising=False)
+        return calls
+
+    @pytest.mark.parametrize(
+        "row, n, order",
+        [([4, 3, 6], 12, 1), ([4, 6, 0], 12, 2), ([], 12, 12), ([0, 0, 0], 12, 12), ([9, 6], 27, 3)],
+        ids=["unit", "no-unit", "width-0", "all-zero", "prime-power"],
+    )
+    def test_one_row_is_its_gcd(self, monkeypatch, row, n, order):
+        calls = self.spy_pow(monkeypatch)
+        pivots, log = intlinalg._diagonalize_mod([row], n)
+        assert len(pivots) == 1 and pivots[0][0] == 0
+        assert math.gcd(pivots[0][1], n) == order
+        assert log == [] and calls == []
+
+    def test_a_unit_pivot_with_nothing_below_computes_no_inverse(self, monkeypatch):
+        calls = self.spy_pow(monkeypatch)
+        # the units 1 and 3 have only zeros below them
+        pivots, log = intlinalg._diagonalize_mod([[1, 2], [0, 3]], 5)
+        assert pivots == [(0, 1), (1, 3)] and log == [] and calls == []
+        # the 3 under the 1 needs its inverse, and the last row none
+        pivots, log = intlinalg._diagonalize_mod([[1, 2], [3, 4]], 5)
+        assert calls == [(1, -1, 5)]
+        assert pivots == [(0, 1), (1, 3)] and log == [(1, 0, 3)]
+
+    def test_the_last_rows_column_steps_take_a_plain_gcd(self, monkeypatch):
+        # no unit mod 12: row 0 finishes on its 2, then row 1 alone merges
+        # its 4 and 6 to gcd 2 by a column step, which an extended gcd
+        # (g, s, t) = (2, -1, 1) also gives: (s*4 + t*6, 2*6 - 3*4) = (2, 0)
+        real = intlinalg._xgcd
+        steps = []
+        monkeypatch.setattr(intlinalg, "_xgcd", lambda a, b: steps.append((a, b)) or real(a, b))
+        assert real(4, 6) == (2, -1, 1)
+        pivots, log = intlinalg._diagonalize_mod([[2, 0, 0], [0, 4, 6]], 12)
+        assert pivots == [(0, 2), (1, 2)] and log == [] and steps == []
+        assert (pivots, log) == oracles.diagonalize_mod_xgcd([[2, 0, 0], [0, 4, 6]], 12)
+
+    @settings(max_examples=400, deadline=None)
+    @given(residues_mod(min_rows=2))
+    def test_rows_pivots_and_log_as_with_every_inverse_and_xgcd(self, mn):
+        m, n = mn
+        expected = oracles.diagonalize_mod_xgcd([list(row) for row in m], n)
+        assert intlinalg._diagonalize_mod([list(row) for row in m], n) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(residues_mod())
+    def test_against_the_snf_of_m_beside_n_times_the_identity(self, mn):
+        # coker m over Z/n is coker [m | nI] over Z, and the column span of
+        # m in (Z/n)^r is the sum of the d * Z/n over its SNF diagonal d
+        m, n = mn
+        r = len(m)
+        a = IntMatrix.from_rows([row + [n * (i == j) for j in range(r)] for i, row in enumerate(m)])
+        diagonal = smith_normal_form(a).diagonal
+        pivots, _ = intlinalg._diagonalize_mod([list(row) for row in m], n)
+        assert sorted(i for i, _ in pivots) == list(range(r))
+        orders = [math.gcd(p, n) for _, p in pivots]
+        assert CriticalGroup.from_cyclic_orders(orders) == CriticalGroup.from_diagonal(diagonal)
+        assert CriticalGroup.from_cyclic_orders(n // o for o in orders) == (
+            CriticalGroup.from_cyclic_orders(n // abs(d) for d in diagonal)
+        )
 
 
 class TestResidualSplit:

@@ -39,8 +39,9 @@ from chipfire import (
     verify_join_theorem,
     verify_tree_bound,
 )
+import oracles
 from oracles import brute_force_spanning_trees
-from chipfire import sandpile, theorems
+from chipfire import intlinalg, sandpile, theorems
 from chipfire.graphs import MAX_COMPLETE_VERTICES, MAX_VERTICES
 from chipfire.theorems import _cone_laplacian_times, _restricted_char_value
 
@@ -60,7 +61,7 @@ def all_connected_labeled_graphs(max_vertices):
 
 def restricted_char_value_by_poly(g, x):
     """P(x) through the whole characteristic polynomial, the oracle for the
-    single-determinant value the verifiers use."""
+    single-determinant value |P(x)| the verifiers use."""
     return poly_eval(poly_divide_by_x(char_poly(laplacian(g))), x)
 
 
@@ -84,12 +85,12 @@ class TestRestrictedCharValueAgainstCharPoly:
     @given(graphs(), st.lists(nonzero_points, min_size=1, max_size=5))
     def test_random_graphs(self, g, points):
         for x in points:
-            assert _restricted_char_value(g, x) == restricted_char_value_by_poly(g, x)
+            assert _restricted_char_value(g, x) == abs(restricted_char_value_by_poly(g, x))
 
     def test_fixed_cases(self):
         for g in (Graph(1), Graph(5), path(2), complete(6), GOEL, cone(FORK_TREE, 2)):
             for x in list(range(-40, 0)) + list(range(1, 11)):
-                assert _restricted_char_value(g, x) == restricted_char_value_by_poly(g, x)
+                assert _restricted_char_value(g, x) == abs(restricted_char_value_by_poly(g, x))
 
     @settings(max_examples=40, deadline=None)
     @given(graphs(max_vertices=9, connected=True), st.integers(1, 4))
@@ -107,6 +108,52 @@ class TestRestrictedCharValueAgainstCharPoly:
         report = verify_join_theorem(factors)
         assert report.rhs == rhs
         assert report.holds
+
+
+class TestSparseRoutesAgainstDenseBareiss:
+    """|P(x)| and the matrix-tree count from sparse rows, by the exact stage
+    of the Pic0 kernel and Bareiss on its residual, against Bareiss on the
+    dense matrices."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(), st.lists(st.integers(-40, 16).filter(bool), min_size=1, max_size=6))
+    def test_restricted_char_value(self, g, points):
+        # points up to 16 include Laplacian eigenvalues, where P(x) = 0
+        for x in points:
+            assert _restricted_char_value(g, x) == abs(oracles.restricted_char_value(g, x))
+
+    @settings(max_examples=80, deadline=None)
+    @given(graphs(max_vertices=16, connected=True))
+    def test_spanning_tree_count(self, g):
+        assert spanning_tree_count(g) == oracles.spanning_tree_count(g)
+
+    @pytest.mark.parametrize(
+        "g, x",
+        [
+            (complete(4), 4),
+            (cycle(4), 2),
+            (path(2), 2),
+            (Graph(5, [(0, 1), (2, 3)]), 2),
+            (cone(FORK_TREE, 2), 7),
+        ],
+        ids=["K4-at-4", "C4-at-2", "P2-at-2", "disconnected-at-2", "cone-at-7"],
+    )
+    def test_a_singular_matrix_gives_zero(self, g, x):
+        assert oracles.restricted_char_value(g, x) == 0
+        assert _restricted_char_value(g, x) == 0
+
+    def test_a_4000_vertex_path_needs_no_bareiss(self, monkeypatch):
+        # L + I of a path is tridiagonal with -1 off the diagonal, so the
+        # exact stage splits it off entirely; its determinant is the
+        # continuant D_k = a_k D_(k-1) - D_(k-2) of the diagonal a
+        monkeypatch.setattr(sandpile, "_laplacian_rows", None)
+        monkeypatch.setattr(intlinalg, "_determinant_rows", None)
+        m = 4000
+        before, current = 1, 2
+        for a in [3] * (m - 2) + [2]:
+            before, current = current, a * current - before
+        assert _restricted_char_value(path(m), -1) == current
+        assert spanning_tree_count(path(m)) == 1
 
 
 class TestVerifyConeTheorem:

@@ -8,6 +8,10 @@ coefficients, both sides of the order formulas) is a decimal string, so
 consumers that read JSON numbers as doubles never truncate it; vertex, edge
 and generator counts stay JSON ints.
 
+`cone FILE N` and `group FILE --cone N` never build the cone: its group
+comes from a (k+1)-square presentation and its characteristic polynomial
+from the base's, so no matrix grows with N.
+
 Exit codes: 0 success / all checks hold, 1 a verification check failed,
 2 input error, 3 precondition error (for example a disconnected graph, or
 running out of memory).
@@ -23,9 +27,15 @@ from functools import reduce
 from typing import Iterable, List, Optional, Sequence
 
 from .errors import InputError, NotConnectedError, SizeError
-from .graphs import Graph, cone, join, read_edge_list
-from .intlinalg import _decimal
-from .sandpile import char_poly_restricted, critical_group
+from .graphs import Graph, _check_cone_size, cone, join, read_edge_list
+from .intlinalg import IntPoly, _decimal
+from .sandpile import (
+    CriticalGroup,
+    _cone_char_poly,
+    _cone_groups,
+    char_poly_restricted,
+    critical_group,
+)
 from .theorems import (
     ConeSequenceReport,
     JoinOrderReport,
@@ -135,19 +145,29 @@ def _decimals(values: Iterable[int]) -> list:
     return [_decimal(x) for x in values]
 
 
-def _group_result(g: Graph) -> dict:
-    group = critical_group(g)
-    poly = char_poly_restricted(g)
+def _group_result(vertices: int, edges: int, group: CriticalGroup, poly: IntPoly) -> dict:
     return {
-        "vertices": g.vertex_count,
-        "edges": g.edge_count,
+        "vertices": vertices,
+        "edges": edges,
         "invariant_factors": _decimals(group.invariant_factors),
         "group": str(group),
         "order": _decimal(group.order),
-        "spanning_trees": _decimal(abs(poly.coefficients[0]) // g.vertex_count),  # |P(0)| = k * tau
+        "spanning_trees": _decimal(abs(poly.coefficients[0]) // vertices),  # |P(0)| = k * tau
         "char_poly": _decimals(poly.coefficients),
         "char_poly_str": str(poly),
     }
+
+
+def _graph_result(g: Graph) -> dict:
+    return _group_result(g.vertex_count, g.edge_count, critical_group(g), char_poly_restricted(g))
+
+
+def _cone_result(g: Graph, n: int) -> dict:
+    """The group result of cone(g, n), which is not built: it has k + n
+    vertices and |E| + kn + n(n - 1)/2 edges."""
+    k = g.vertex_count
+    edges = g.edge_count + k * n + n * (n - 1) // 2
+    return _group_result(k + n, edges, _cone_groups(g, n)[0], _cone_char_poly(g, n))
 
 
 def _record(command: str, input_summary: str, result: dict) -> dict:
@@ -280,11 +300,19 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             if args.command == "join":
                 loaded = [_load(path, args.cone) for path in args.files]
                 g, summary = reduce(join, [g for g, _ in loaded]), " + ".join(args.files)
+                result = _graph_result(g)
             else:
-                g, summary = _load(args.file, args.cone)
+                g, summary = _load(args.file, None)
+                # the N-cone over the M-cone over g is the (M + N)-cone over g
+                sizes = [] if args.cone is None else [args.cone]
                 if args.command == "cone":
-                    g = cone(g, args.n)
-            records = [_record(args.command, summary, _group_result(g))]
+                    sizes.append(args.n)
+                n = 0
+                for size in sizes:
+                    _check_cone_size(g.vertex_count + n, size)
+                    n += size
+                result = _cone_result(g, n) if n else _graph_result(g)
+            records = [_record(args.command, summary, result)]
             exit_code = EXIT_OK
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

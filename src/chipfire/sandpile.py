@@ -30,6 +30,12 @@ of the restricted characteristic polynomial come from sparse rows too: the
 kernel's exact stage splits off the pivots that divide their row and
 column, and Bareiss runs only on the block left, which is empty on a path.
 
+The cone over g with n vertices, cone(g, n) on k + n vertices, need not be
+built for its groups or its characteristic polynomial.  Its cone vertices
+are twins, so a change of basis on them splits (Z/(k+n))^(n-2) off Pic0
+and leaves the kernel a (k+1)-square matrix, and P of the cone is
+Q(x - n) (x - k - n)^n with Q of g.  Neither result is cached.
+
 Divisors are plain integer vectors indexed by vertex; the degree-zero
 constraint is a checked precondition rather than a separate type.
 """
@@ -243,6 +249,83 @@ def _restricted_char_value(g: Graph, x: int) -> int:
     return _abs_determinant(rows) // abs(x)
 
 
+def _cone_rows(g: Graph, n: int) -> dict:
+    """The sparse rows of M'_n, the (k+1)-square presentation of Pic0 of
+    cone(g, n) with its twin block split off (k rows for n = 1).
+
+    Rows are the coordinates e_1..e_(k-1) (base vertex v is index v - 1),
+    s_c = sum of the cone vertices (index k - 1) and e_c2 (index k).  The
+    columns are the base columns of L + nI, -1 in the s_c row; the sum of
+    the cone columns, -n in the base rows and k in the s_c row; and the
+    column of c2, -1 in the base rows and the s_c row and k + n in its own.
+    """
+    k = g.vertex_count
+    s = k - 1
+    rows = _reduced_rows(g)
+    for i, row in rows.items():
+        row[i] += n
+        row[s] = -n
+    rows[s] = dict.fromkeys(range(s), -1)
+    rows[s][s] = k
+    if n > 1:
+        for row in rows.values():
+            row[k] = -1
+        rows[k] = {k: k + n}
+    return rows
+
+
+def _cone_groups(g: Graph, n: int) -> tuple:
+    """(Pic0, the cone-difference subgroup, H_n) of cone(g, n), g on k
+    vertices and possibly disconnected, without building the cone.
+
+    The n cone vertices are twins of degree k + n - 1.  Written in the basis
+    e_b, s_c, e_c2 and e_ci - e_c2 (i >= 3), the cone columns c_i - c_2 are
+    (k + n)(e_ci - e_c2) and touch no other coordinate, so
+    Pic0 = (Z/(k+n))^(n-2) + coker M'_n with M'_n from _cone_rows.  The
+    differences of cone vertices span those n - 2 summands and
+    g = s_c - n e_c2, so the subgroup is (Z/(k+n))^(n-2) + <g> and
+    H_n = coker M'_n / <g>.  For n = 1 there are no differences and
+    H_1 = Pic0.
+    """
+    k = g.vertex_count
+    factors, rows = _cokernel_rows(_cone_rows(g, n))
+    twins = [k + n] * (n - 2)
+    pic0 = CriticalGroup.from_cyclic_orders(twins + list(factors))
+    if n == 1:
+        return pic0, CriticalGroup(), pic0
+    coordinates = [(u[k - 1] - n * u[k]) % d for u, d in zip(rows, factors)]
+    order = math.lcm(*(d // math.gcd(d, c) for d, c in zip(factors, coordinates)))
+    subgroup = CriticalGroup.from_cyclic_orders(twins + [order])
+    return pic0, subgroup, _quotient(factors, [[c] for c in coordinates])
+
+
+def _cone_char_poly(g: Graph, n: int) -> IntPoly:
+    """P of cone(g, n) as Q(x - n) (x - k - n)^n, Q(x) = det(xI - L) / x of
+    g, which may be disconnected.
+
+    The Laplacian of the cone acts as L + nI on the vectors of the base
+    that sum to zero and as k + n on the n vectors that the cone vertices
+    add.  Q(x - n) is det(xI - L - nI) / (x - n), and (x - c)^n comes from
+    the binomial recurrence.
+    """
+    k, c = g.vertex_count, g.vertex_count + n
+    rows = _laplacian_rows(g)
+    for v, row in enumerate(rows):
+        row[v] += n
+    p = _char_poly_rows(rows).coefficients
+    q = [0] * k  # p / (x - n) by synthetic division
+    q[-1] = p[k]
+    for i in range(k - 1, 0, -1):
+        q[i - 1] = p[i] + n * q[i]
+    binomial = [0] * n + [1]  # (x - c)^n
+    for j in range(n, 0, -1):
+        binomial[j - 1] = -binomial[j] * c * j // (n - j + 1)
+    out = [0] * (k + n)
+    for i, a in enumerate(q):
+        out[i : i + n + 1] = [x + a * b for x, b in zip(out[i : i + n + 1], binomial)]
+    return IntPoly(out)
+
+
 def _check_divisor(g: Graph, d: Sequence[int]) -> tuple:
     coeffs = tuple(d)
     if len(coeffs) != g.vertex_count:
@@ -337,13 +420,6 @@ def quotient_by_classes(g: Graph, generators: Iterable[Sequence[int]]) -> Critic
 def subgroup_invariants(g: Graph, generators: Iterable[Sequence[int]]) -> CriticalGroup:
     """Structure of the subgroup of Pic0(g) generated by the given classes."""
     return _subgroup(*_generated_coordinates(g, generators))
-
-
-def _subgroup_and_quotient(g: Graph, generators: Iterable[Sequence[int]]) -> tuple:
-    """(subgroup_invariants, quotient_by_classes) from one pass over the
-    generators' coordinates."""
-    factors, rows = _generated_coordinates(g, generators)
-    return _subgroup(factors, rows), _quotient(factors, rows)
 
 
 def direct_sum(a: CriticalGroup, b: CriticalGroup) -> CriticalGroup:

@@ -2,9 +2,11 @@
 
 Each verifier recomputes both sides of a claimed identity through independent
 code paths and reports whether they agree.  On the Pic0 side, the cone and
-tree checks read the cached presentation of Pic0 and then diagonalize the
-generators' coordinates modulo the exponent of Pic0; the join check takes
-the matrix-tree count.  The other side of each order check is |P(x)|,
+tree checks never build the cone: a change of basis on the n cone vertices,
+which are twins, splits (Z/(k+n))^(n-2) off Pic0 of the cone and leaves a
+(k+1)-square presentation, on which the subgroup is the order of one class
+and H_n one diagonalization modulo the exponent; the join check takes the
+matrix-tree count.  The other side of each order check is |P(x)|,
 which sandpile takes as |det(L - xI)| / |x| from the sparse rows of
 L - xI: exact elimination on the pivots that divide their row and column,
 then Bareiss on the block left.  Everything is exact integer arithmetic,
@@ -22,15 +24,13 @@ from functools import reduce
 from typing import Iterator, List, NamedTuple, Sequence
 
 from .errors import InputError, NotConnectedError
-from .graphs import Graph, cone, is_connected, is_tree, join, leaves
+from .graphs import Graph, is_connected, is_tree, join, leaves
 from .graphs import _check_cone_size, _check_vertex_count
 from .sandpile import (
     CriticalGroup,
+    _cone_groups,
     _restricted_char_value,
-    _subgroup_and_quotient,
-    critical_group,
     direct_sum,
-    quotient_by_classes,
     spanning_tree_count,
 )
 
@@ -114,15 +114,15 @@ def verify_cone_theorem(g: Graph, n: int) -> ConeSequenceReport:
 
     Confirms that the cone-vertex differences generate (Z/(n+k))^(n-1), that
     the quotient by them has order |P(-n)|, and decides whether the sequence
-    splits for this instance.
+    splits for this instance.  The three groups come from the
+    (k+1)-square presentation of the cone, |P(-n)| from the sparse rows of
+    L + nI of g.
     """
     k = g.vertex_count
     _check_cone_size(k, n)
     if not is_connected(g):
         raise NotConnectedError("cone theorem verification needs a connected base graph")
-    coned = cone(g, n)
-    pic0 = critical_group(coned)
-    subgroup, quotient_h = _subgroup_and_quotient(coned, _cone_differences(k, n))
+    pic0, subgroup, quotient_h = _cone_groups(g, n)
     p_at_minus_n = abs(_restricted_char_value(g, -n))
     return ConeSequenceReport(
         base_vertices=k,
@@ -164,8 +164,8 @@ def verify_tree_bound(g: Graph, n: int) -> TreeBoundReport:
     if g.vertex_count < 2 or not is_tree(g):
         raise InputError("tree bound applies to trees with at least two vertices")
     leaf_count = len(leaves(g))
-    coned = cone(g, n)
-    h_n = quotient_by_classes(coned, _cone_differences(g.vertex_count, n))
+    _check_cone_size(g.vertex_count, n)
+    h_n = _cone_groups(g, n)[2]
     h_generators = len(h_n.invariant_factors)
     return TreeBoundReport(leaf_count, h_generators, h_generators <= leaf_count - 1)
 

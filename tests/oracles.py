@@ -12,17 +12,24 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from chipfire import (
+    ConeSequenceReport,
     CriticalGroup,
     Graph,
     InputError,
     IntMatrix,
     IntPoly,
     SizeError,
+    TreeBoundReport,
+    cone,
+    cone_difference_divisors,
     determinant,
+    direct_sum,
     laplacian,
+    leaves,
     reduced_laplacian,
+    sandpile,
 )
-from chipfire.intlinalg import _xgcd
+from chipfire.intlinalg import _decimal, _xgcd
 from chipfire.sandpile import _check_degree_zero, _require_connected
 
 
@@ -654,3 +661,63 @@ def has_conformity_property(g: Graph, s: Iterable[int]) -> bool:
         return False
     outside = [g.neighbors(v) - member_set for v in members]
     return all(nbhd == outside[0] for nbhd in outside[1:])
+
+
+# The cone verifiers and the CLI's cone result on the explicit cone, the
+# library's earlier route: cone(g, n) is built with all of K_n, and Pic0,
+# the subgroup of cone-vertex differences and H_n come from the presentation
+# of its reduced Laplacian, P from its whole Laplacian.  The library now
+# presents the cone by a (k+1)-square matrix and never builds it.
+
+
+def cone_groups(g: Graph, n: int) -> tuple:
+    """(Pic0, the cone-difference subgroup, H_n) of the built cone(g, n)."""
+    coned = cone(g, n)
+    generators = cone_difference_divisors(g.vertex_count, n)
+    return (
+        sandpile.critical_group(coned),
+        sandpile.subgroup_invariants(coned, generators),
+        sandpile.quotient_by_classes(coned, generators),
+    )
+
+
+def verify_cone_theorem(g: Graph, n: int) -> ConeSequenceReport:
+    k = g.vertex_count
+    pic0, subgroup, quotient_h = cone_groups(g, n)
+    p_at_minus_n = abs(restricted_char_value(g, -n))
+    return ConeSequenceReport(
+        base_vertices=k,
+        cone_size=n,
+        pic0=pic0,
+        subgroup=subgroup,
+        quotient_h=quotient_h,
+        p_at_minus_n=p_at_minus_n,
+        order_formula_holds=quotient_h.order == p_at_minus_n,
+        subgroup_is_expected=subgroup == CriticalGroup((n + k,) * (n - 1)),
+        splits=pic0 == direct_sum(subgroup, quotient_h),
+        h_generator_count=len(quotient_h.invariant_factors),
+    )
+
+
+def verify_tree_bound(g: Graph, n: int) -> TreeBoundReport:
+    leaf_count = len(leaves(g))
+    coned = cone(g, n)
+    h_n = sandpile.quotient_by_classes(coned, cone_difference_divisors(g.vertex_count, n))
+    h_generators = len(h_n.invariant_factors)
+    return TreeBoundReport(leaf_count, h_generators, h_generators <= leaf_count - 1)
+
+
+def group_result(g: Graph) -> dict:
+    """The result dict of ``chipfire group`` on g, from g itself."""
+    group = sandpile.critical_group(g)
+    poly = sandpile.char_poly_restricted(g)
+    return {
+        "vertices": g.vertex_count,
+        "edges": g.edge_count,
+        "invariant_factors": [_decimal(d) for d in group.invariant_factors],
+        "group": str(group),
+        "order": _decimal(group.order),
+        "spanning_trees": _decimal(abs(poly.coefficients[0]) // g.vertex_count),
+        "char_poly": [_decimal(c) for c in poly.coefficients],
+        "char_poly_str": str(poly),
+    }

@@ -275,11 +275,15 @@ def _one_more(real):
 
 
 def _trivial_subgroup(real):
-    return lambda g, generators: (CriticalGroup(()), real(g, generators)[1])
+    def wrong(g, n):
+        pic0, _, quotient_h = real(g, n)
+        return pic0, CriticalGroup(()), quotient_h
+
+    return wrong
 
 
 def _too_many_generators(real):
-    return lambda g, classes: CriticalGroup((2,) * g.vertex_count)
+    return lambda g, n: real(g, n)[:2] + (CriticalGroup((2,) * g.vertex_count),)
 
 
 def _first_entry_one_more(real):
@@ -296,8 +300,8 @@ class TestFailingVerdicts:
     @pytest.mark.parametrize(
         "which, attr, wrong",
         [
-            ("cone", "_subgroup_and_quotient", _trivial_subgroup),
-            ("tree", "quotient_by_classes", _too_many_generators),
+            ("cone", "_cone_groups", _trivial_subgroup),
+            ("tree", "_cone_groups", _too_many_generators),
             ("join", "_restricted_char_value", _one_more),
             ("eigen", "_cone_laplacian_times", _first_entry_one_more),
         ],

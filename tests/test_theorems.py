@@ -211,34 +211,38 @@ class TestVerifyConeTheorem:
 
 
 class TestConeTheoremSharesOneSnf:
-    """verify_cone_theorem reads the subgroup and H_n off one pass over the
-    generators' coordinates instead of computing them once for each."""
+    """verify_cone_theorem presents the cone once, by the (k+1)-square
+    matrix M'_n rather than the reduced Laplacian of the cone, reads the
+    subgroup off the order of one class and H_n off one diagonalization."""
 
-    def test_one_snf_for_the_classes_and_one_for_the_relations(self, monkeypatch):
-        passes, shapes = [], []
-        real_coordinates, real_diagonalize = sandpile._generated_coordinates, sandpile._diagonalize_mod
+    def test_one_kernel_call_on_k_plus_1_rows(self, monkeypatch):
+        kernels, shapes = [], []
+        real_kernel, real_diagonalize = sandpile._cokernel_rows, sandpile._diagonalize_mod
 
-        def coordinates(g, generators):
-            passes.append(g)
-            return real_coordinates(g, generators)
+        def kernel(rows):
+            size = len(rows)
+            factors, out = real_kernel(rows)
+            kernels.append((size, len(factors)))
+            return factors, out
 
         def diagonalize(m, n):
             shapes.append((len(m), len(m[0])))
             return real_diagonalize(m, n)
 
-        monkeypatch.setattr(sandpile, "_generated_coordinates", coordinates)
+        monkeypatch.setattr(sandpile, "_cokernel_rows", kernel)
         monkeypatch.setattr(sandpile, "_diagonalize_mod", diagonalize)
-        # the presentation of Pic0 finishes through intlinalg's binding, so
-        # the two diagonalizations seen are the span of the n - 1 generators'
-        # coordinates and the cokernel of [C | diag(d)]
-        for g, n in ((GOEL, 3), (path(5), 1), (complete(1), 4), (FORK_TREE, 2)):
-            sandpile._reduced_snf.cache_clear()  # a fresh presentation too
-            passes.clear()
+        # the kernel finishes through intlinalg's binding, so the one
+        # diagonalization seen is the cokernel of [c | diag(d)] for H_n
+        for g, n in ((GOEL, 3), (path(5), 1), (complete(1), 4), (FORK_TREE, 2), (path(5), 64)):
+            k = g.vertex_count
+            kernels.clear()
             shapes.clear()
+            cached = sandpile._reduced_snf.cache_info()
             verify_cone_theorem(g, n)
-            s = len(sandpile._reduced_snf(cone(g, n)).factors)
-            assert len(passes) == 1
-            assert shapes == [(s, n - 1), (s, n - 1 + s)]
+            assert sandpile._reduced_snf.cache_info() == cached  # no graph is presented
+            ((size, s),) = kernels
+            assert size == (k if n == 1 else k + 1)
+            assert shapes == ([] if n == 1 else [(s, 1 + s)])
 
     @settings(max_examples=40, deadline=None)
     @given(graphs(max_vertices=8, connected=True), st.integers(1, 5))
@@ -385,12 +389,13 @@ class TestVerdictsCanFail:
         assert not report.order_formula_holds and not report.holds
 
     def test_cone_subgroup(self, monkeypatch):
-        real = sandpile._subgroup_and_quotient
-        monkeypatch.setattr(
-            theorems,
-            "_subgroup_and_quotient",
-            lambda g, generators: (CriticalGroup(()), real(g, generators)[1]),
-        )
+        real = sandpile._cone_groups
+
+        def trivial_subgroup(g, n):
+            pic0, _, quotient_h = real(g, n)
+            return pic0, CriticalGroup(()), quotient_h
+
+        monkeypatch.setattr(theorems, "_cone_groups", trivial_subgroup)
         report = verify_cone_theorem(path(3), 2)
         assert report.order_formula_holds
         assert not report.subgroup_is_expected and not report.holds
@@ -401,10 +406,11 @@ class TestVerdictsCanFail:
         assert not verify_join_theorem([path(2), path(3)]).holds
 
     def test_tree_bound(self, monkeypatch):
+        real = sandpile._cone_groups
         monkeypatch.setattr(
             theorems,
-            "quotient_by_classes",
-            lambda g, classes: CriticalGroup((2,) * g.vertex_count),
+            "_cone_groups",
+            lambda g, n: real(g, n)[:2] + (CriticalGroup((2,) * g.vertex_count),),
         )
         assert not verify_tree_bound(FORK_TREE, 2).holds
 

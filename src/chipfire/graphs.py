@@ -209,7 +209,7 @@ def is_tree(g: Graph) -> bool:
     return g.edge_count == g.vertex_count - 1 and is_connected(g)
 
 
-def _decimal(token: str) -> int:
+def _parse_decimal(token: str) -> int:
     """A token matching -?[0-9]+ as an int; ValueError for anything else.
 
     ``int`` also reads a leading ``+``, ``_`` between digits and non-ASCII
@@ -242,7 +242,7 @@ def parse_edge_list(text: str) -> Graph:
     if len(header) != 2:
         raise InputError(f"line {lineno}: header must be 'n m'")
     try:
-        n, m = _decimal(header[0]), _decimal(header[1])
+        n, m = _parse_decimal(header[0]), _parse_decimal(header[1])
     except ValueError:
         raise InputError(f"line {lineno}: header must contain two integers") from None
     body = rows[1:]
@@ -253,7 +253,7 @@ def parse_edge_list(text: str) -> Graph:
         if len(tokens) != 2:
             raise InputError(f"line {lineno}: edge line must be 'u v'")
         try:
-            pairs.append((_decimal(tokens[0]), _decimal(tokens[1])))
+            pairs.append((_parse_decimal(tokens[0]), _parse_decimal(tokens[1])))
         except ValueError:
             raise InputError(f"line {lineno}: edge endpoints must be integers") from None
     return Graph(n, pairs)

@@ -401,7 +401,7 @@ def _abs_determinant(rows: dict) -> int:
     product = math.prod(d for _, d in pivots)
     if product and rows:
         residual = [[row.get(j, 0) for j in top] for _, row in sorted(rows.items())]
-        product *= abs(_determinant_rows(residual))
+        product *= abs(_solve_rows(residual)[0])
     return product
 
 
@@ -540,12 +540,7 @@ def determinant(a: IntMatrix) -> int:
     """
     if not a.is_square:
         raise InputError(f"determinant needs a square matrix, got {a.rows}x{a.cols}")
-    return _determinant_rows(a.to_rows())
-
-
-def _determinant_rows(m: list) -> int:
-    """determinant of the square matrix given as its rows, which are consumed."""
-    return _solve_rows(m)[0]
+    return _solve_rows(a.to_rows())[0]
 
 
 def _solve_rows(m: list) -> tuple:

@@ -25,10 +25,11 @@ random graphs.  Only the rest, of order tau2 = tau / tau1, is finished
 modulo tau2, and Z/tau1 joins one of its factors by CRT.  No column witness
 is kept, so the d_i need not form a divisibility chain.
 
-The matrix-tree count |det Lred| and the value |P(x)| = |det(L - xI)| / |x|
-of the restricted characteristic polynomial come from sparse rows too: the
-kernel's exact stage splits off the pivots that divide their row and
-column, and Bareiss runs only on the block left, which is empty on a path.
+Every matrix taken from a graph is a shift L + cI of its Laplacian, read
+off the adjacency by one builder, _sparse_laplacian, as sparse rows that
+the reduced and dense forms derive from.  |det Lred| and |P(x)| =
+|det(L - xI)| / |x| run the kernel's exact stage on such rows, and Bareiss
+only on the block left, which is empty on a path.
 
 The cone over g with n vertices, cone(g, n) on k + n vertices, need not be
 built for its groups or its characteristic polynomial.  Its cone vertices
@@ -58,7 +59,6 @@ from .intlinalg import (
     _cokernel_rows,
     _decimal,
     _diagonalize_mod,
-    poly_divide_by_x,
 )
 
 __all__ = [
@@ -141,23 +141,42 @@ class CriticalGroup:
         return " x ".join(f"Z/{_decimal(d)}" for d in self.invariant_factors)
 
 
-def _laplacian_rows(g: Graph) -> list:
-    """The rows of L, from the degrees and neighbours."""
-    n = g.vertex_count
-    rows = []
-    for v in range(n):
-        row = [0] * n
+def _sparse_laplacian(g: Graph, shift: int = 0) -> dict:
+    """The sparse rows {v: {w: a_vw}} of L + shift*I, the one place where
+    rows are read off the graph, with no zero entries (a diagonal
+    deg v + shift = 0 is left out) and the keys of a row in no fixed order."""
+    rows = {}
+    for v in range(g.vertex_count):
         neighbors = g.neighbors(v)
-        for w in neighbors:
-            row[w] = -1
-        row[v] = len(neighbors)
-        rows.append(row)
+        row = dict.fromkeys(neighbors, -1)
+        row[v] = len(neighbors) + shift
+        if not row[v]:
+            del row[v]
+        rows[v] = row
     return rows
+
+
+def _reduced_rows(g: Graph, shift: int = 0) -> dict:
+    """The sparse rows of L + shift*I with vertex 0 deleted, so vertex v is
+    index v - 1, each row's keys in ascending order, the tie order that the
+    Pic0 kernel takes."""
+    rows = _sparse_laplacian(g, shift)
+    del rows[0]
+    return {v - 1: {w - 1: row[w] for w in sorted(row) if w} for v, row in rows.items()}
+
+
+def _dense_laplacian(g: Graph, shift: int = 0) -> list:
+    """The rows of L + shift*I as lists, from the sparse rows."""
+    dense = [[0] * g.vertex_count for _ in range(g.vertex_count)]
+    for v, row in _sparse_laplacian(g, shift).items():
+        for w, a in row.items():
+            dense[v][w] = a
+    return dense
 
 
 def laplacian(g: Graph) -> IntMatrix:
     """Degree matrix minus adjacency matrix."""
-    return IntMatrix.from_rows(_laplacian_rows(g))
+    return IntMatrix.from_rows(_dense_laplacian(g))
 
 
 def _require_connected(g: Graph):
@@ -169,7 +188,7 @@ def reduced_laplacian(g: Graph, remove: int) -> IntMatrix:
     """Laplacian with one row and column deleted (the matrix-tree device)."""
     g._check_vertex(remove)
     _require_connected(g)
-    rows = _laplacian_rows(g)
+    rows = _dense_laplacian(g)
     del rows[remove]
     return IntMatrix.from_rows([row[:remove] + row[remove + 1 :] for row in rows])
 
@@ -193,15 +212,9 @@ class _Presentation:
         return [sum(map(mul, row, x)) % m for row, m in zip(self.rows, self.factors)]
 
 
-def _reduced_rows(g: Graph) -> dict:
-    """The sparse rows of Lred, vertex 0 deleted, so vertex v is index
-    v - 1, straight from the adjacency, with no dense Laplacian."""
-    rows = {}
-    for v in range(1, g.vertex_count):
-        neighbors = g.neighbors(v)
-        row = [(w - 1, -1) for w in neighbors if w] + [(v - 1, len(neighbors))]
-        rows[v - 1] = dict(sorted(row))
-    return rows
+def _class_order(factors: Sequence[int], coordinates: Sequence[int]) -> int:
+    """Order of the element of Z/d_1 x ... x Z/d_s with these coordinates."""
+    return math.lcm(*(d // math.gcd(d, c) for d, c in zip(factors, coordinates)))
 
 
 @lru_cache(maxsize=256)
@@ -231,7 +244,7 @@ def char_poly_restricted(g: Graph) -> IntPoly:
     constant polynomial 1.
     """
     _require_connected(g)
-    return poly_divide_by_x(_char_poly_rows(_laplacian_rows(g)))
+    return _cone_char_poly(g, 0)
 
 
 def _restricted_char_value(g: Graph, x: int) -> int:
@@ -239,14 +252,7 @@ def _restricted_char_value(g: Graph, x: int) -> int:
     factors).  The callers use only the absolute value, so this is
     |det(L - xI)| from the sparse rows of L - xI, by the exact stage of the
     Pic0 kernel and Bareiss on its residual, with no dense matrix."""
-    rows = {}
-    for v in range(g.vertex_count):
-        neighbors = g.neighbors(v)
-        row = dict.fromkeys(neighbors, -1)
-        if len(neighbors) != x:
-            row[v] = len(neighbors) - x
-        rows[v] = row
-    return _abs_determinant(rows) // abs(x)
+    return _abs_determinant(_sparse_laplacian(g, -x)) // abs(x)
 
 
 def _cone_rows(g: Graph, n: int) -> dict:
@@ -261,9 +267,8 @@ def _cone_rows(g: Graph, n: int) -> dict:
     """
     k = g.vertex_count
     s = k - 1
-    rows = _reduced_rows(g)
-    for i, row in rows.items():
-        row[i] += n
+    rows = _reduced_rows(g, n)
+    for row in rows.values():
         row[s] = -n
     rows[s] = dict.fromkeys(range(s), -1)
     rows[s][s] = k
@@ -294,14 +299,13 @@ def _cone_groups(g: Graph, n: int) -> tuple:
     if n == 1:
         return pic0, CriticalGroup(), pic0
     coordinates = [(u[k - 1] - n * u[k]) % d for u, d in zip(rows, factors)]
-    order = math.lcm(*(d // math.gcd(d, c) for d, c in zip(factors, coordinates)))
-    subgroup = CriticalGroup.from_cyclic_orders(twins + [order])
+    subgroup = CriticalGroup.from_cyclic_orders(twins + [_class_order(factors, coordinates)])
     return pic0, subgroup, _quotient(factors, [[c] for c in coordinates])
 
 
 def _cone_char_poly(g: Graph, n: int) -> IntPoly:
     """P of cone(g, n) as Q(x - n) (x - k - n)^n, Q(x) = det(xI - L) / x of
-    g, which may be disconnected.
+    g, which may be disconnected; n = 0 gives Q, the P of g itself.
 
     The Laplacian of the cone acts as L + nI on the vectors of the base
     that sum to zero and as k + n on the n vectors that the cone vertices
@@ -309,10 +313,7 @@ def _cone_char_poly(g: Graph, n: int) -> IntPoly:
     the binomial recurrence.
     """
     k, c = g.vertex_count, g.vertex_count + n
-    rows = _laplacian_rows(g)
-    for v, row in enumerate(rows):
-        row[v] += n
-    p = _char_poly_rows(rows).coefficients
+    p = _char_poly_rows(_dense_laplacian(g, n)).coefficients
     q = [0] * k  # p / (x - n) by synthetic division
     q[-1] = p[k]
     for i in range(k - 1, 0, -1):
@@ -373,9 +374,7 @@ def class_order(g: Graph, d: Sequence[int]) -> int:
     """Order of the class of d in Pic0(g): the least m with m*d principal."""
     coeffs = _check_degree_zero(g, d)
     pic0 = _reduced_snf(g)
-    return math.lcm(
-        *(m // math.gcd(m, c) for m, c in zip(pic0.factors, pic0.coordinates(coeffs)))
-    )
+    return _class_order(pic0.factors, pic0.coordinates(coeffs))
 
 
 def _generated_coordinates(g: Graph, generators: Iterable[Sequence[int]]) -> tuple:

@@ -30,6 +30,7 @@ from .sandpile import (
     CriticalGroup,
     _cone_groups,
     _restricted_char_value,
+    _sparse_laplacian,
     direct_sum,
     spanning_tree_count,
 )
@@ -170,20 +171,22 @@ def verify_tree_bound(g: Graph, n: int) -> TreeBoundReport:
     return TreeBoundReport(leaf_count, h_generators, h_generators <= leaf_count - 1)
 
 
-def _cone_laplacian_times(g: Graph, n: int, x: Sequence[int]) -> tuple:
-    """L(cone(g, n)) x from g's edges and the cone structure, in
-    O(|E| + k + n) time and memory: neither K_n nor the Laplacian is built.
+def _cone_laplacian_times(rows: dict, n: int, x: Sequence[int]) -> tuple:
+    """L(cone(g, n)) x from the sparse rows of L + nI of g, in O(|E| + k + n)
+    time and memory: neither K_n nor the Laplacian of the cone is built.
 
-    Base row v is (deg v + n) x_v - (sum of x over g-neighbours of v)
-    - (sum of x over the cone); cone row c is (k + n) x_c - (sum of all x).
+    Base row v is ((L + nI) x)_v - (sum of x over the cone); cone row c is
+    (k + n) x_c - (sum of all x).
     """
-    k = g.vertex_count
+    k = len(rows)
     cone_sum = sum(x[k:])
     total = sum(x[:k]) + cone_sum
-    y = [n * x[v] - cone_sum for v in range(k)]
-    for u, v in g.edges:
-        y[u] += x[u] - x[v]
-        y[v] += x[v] - x[u]
+    y = []
+    for row in rows.values():
+        acc = -cone_sum
+        for w, a in row.items():
+            acc += a * x[w]
+        y.append(acc)
     y += [(k + n) * c - total for c in x[k:]]
     return tuple(y)
 
@@ -202,8 +205,9 @@ def verify_eigenvectors(g: Graph, n: int) -> bool:
     _check_cone_size(k, n)
     eigenvalue = n + k
     balanced = tuple([n] * k + [-k] * n)
+    rows = _sparse_laplacian(g, n)
     for d in itertools.chain(_cone_differences(k, n), [balanced]):
-        if _cone_laplacian_times(g, n, d) != tuple(eigenvalue * c for c in d):
+        if _cone_laplacian_times(rows, n, d) != tuple(eigenvalue * c for c in d):
             return False
     return True
 

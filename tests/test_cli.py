@@ -287,8 +287,8 @@ def _too_many_generators(real):
 
 
 def _first_entry_one_more(real):
-    def wrong(g, n, x):
-        y = real(g, n, x)
+    def wrong(rows, n, x):
+        y = real(rows, n, x)
         return (y[0] + 1,) + y[1:]
 
     return wrong

@@ -18,12 +18,15 @@ from hypothesis import strategies as st
 from chipfire import (
     CriticalGroup,
     Graph,
+    char_poly,
     char_poly_restricted,
     complete,
     cone,
     format_edge_list,
     is_connected,
+    laplacian,
     path,
+    poly_divide_by_x,
     random_connected_graph,
     random_tree,
     verify_cone_theorem,
@@ -114,16 +117,28 @@ class TestReportsAgainstExplicitCone:
 
 
 class TestCharPolyIdentity:
-    """P of cone(g, n) is Q(x - n) (x - k - n)^n with Q = det(xI - L) / x of g."""
+    """P of cone(g, n) is Q(x - n) (x - k - n)^n with Q = det(xI - L) / x of
+    g, and n = 0 gives Q itself, disconnected bases included."""
+
+    @staticmethod
+    def expected(g, n):
+        if n == 0:
+            return poly_divide_by_x(char_poly(laplacian(g)))
+        return char_poly_restricted(cone(g, n))
 
     @settings(max_examples=150, deadline=None)
-    @given(graphs(), cone_sizes)
+    @given(graphs(), st.integers(0, 8))
     def test_random_bases(self, g, n):
-        assert _cone_char_poly(g, n) == char_poly_restricted(cone(g, n))
+        assert _cone_char_poly(g, n) == self.expected(g, n)
 
-    @pytest.mark.parametrize("g, n", FIXED + [(path(3), 24), (complete(1), 30)])
+    @pytest.mark.parametrize(
+        "g, n",
+        FIXED
+        + [(path(3), 24), (complete(1), 30)]
+        + [(g, 0) for g in dict.fromkeys(g for g, _ in FIXED)],
+    )
     def test_fixed_bases(self, g, n):
-        assert _cone_char_poly(g, n) == char_poly_restricted(cone(g, n))
+        assert _cone_char_poly(g, n) == self.expected(g, n)
 
 
 def run_json(argv):

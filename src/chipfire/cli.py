@@ -8,9 +8,10 @@ coefficients, both sides of the order formulas) is a decimal string, so
 consumers that read JSON numbers as doubles never truncate it; vertex, edge
 and generator counts stay JSON ints.
 
-`cone FILE N` and `group FILE --cone N` never build the cone: its group
-comes from a (k+1)-square presentation and its characteristic polynomial
-from the base's, so no matrix grows with N.
+`cone FILE N`, `group FILE --cone N` and `join FILE... --cone N` never
+build the cone: its group comes from a (k+1)-square presentation and its
+characteristic polynomial from the base's, so no matrix grows with N.  The
+join of l N-cones is the (l N)-cone over the join of the files' graphs.
 
 Exit codes: 0 success / all checks hold, 1 a verification check failed,
 2 input error, 3 precondition error (for example a disconnected graph, or
@@ -24,16 +25,16 @@ import json
 import random
 import sys
 from functools import reduce
+from itertools import accumulate
 from typing import Iterable, List, Optional, Sequence
 
 from .errors import InputError, NotConnectedError, SizeError
-from .graphs import Graph, _check_cone_size, cone, join, read_edge_list
+from .graphs import Graph, _check_cone_size, _check_vertex_count, cone, join, read_edge_list
 from .intlinalg import IntPoly, _decimal
 from .sandpile import (
     CriticalGroup,
     _cone_char_poly,
     _cone_groups,
-    char_poly_restricted,
     critical_group,
 )
 from .theorems import (
@@ -159,7 +160,8 @@ def _group_result(vertices: int, edges: int, group: CriticalGroup, poly: IntPoly
 
 
 def _graph_result(g: Graph) -> dict:
-    return _group_result(g.vertex_count, g.edge_count, critical_group(g), char_poly_restricted(g))
+    # critical_group checks that g is connected, so P needs no second check
+    return _group_result(g.vertex_count, g.edge_count, critical_group(g), _cone_char_poly(g, 0))
 
 
 def _cone_result(g: Graph, n: int) -> dict:
@@ -298,9 +300,19 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             exit_code = EXIT_OK if all_hold else EXIT_VERIFY_FAILED
         else:
             if args.command == "join":
-                loaded = [_load(path, args.cone) for path in args.files]
-                g, summary = reduce(join, [g for g, _ in loaded]), " + ".join(args.files)
-                result = _graph_result(g)
+                factors = []
+                for path in args.files:
+                    factors.append(read_edge_list(path))
+                    if args.cone is not None:
+                        _check_cone_size(factors[-1].vertex_count, args.cone)
+                n = 0 if args.cone is None else args.cone
+                # each cone vertex is adjacent to every other vertex, so the
+                # join of the n-cones is the (l n)-cone over the join of the
+                # l factors; it is refused wherever the join of the cones is
+                for size in accumulate(f.vertex_count + n for f in factors):
+                    _check_vertex_count(size)
+                g, summary = reduce(join, factors), " + ".join(args.files)
+                n *= len(factors)
             else:
                 g, summary = _load(args.file, None)
                 # the N-cone over the M-cone over g is the (M + N)-cone over g
@@ -311,7 +323,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
                 for size in sizes:
                     _check_cone_size(g.vertex_count + n, size)
                     n += size
-                result = _cone_result(g, n) if n else _graph_result(g)
+            result = _cone_result(g, n) if n else _graph_result(g)
             records = [_record(args.command, summary, result)]
             exit_code = EXIT_OK
     except (InputError, OSError) as exc:

@@ -23,9 +23,10 @@ row and column, and on the block R left it runs one Bareiss pass with two
 fixed right-hand sides.  That gives tau = |det R| and a row y that maps
 coker R onto Z/tau1, tau1 the part of tau prime to gcd(y, tau), so only the
 rest, of order tau2 = tau / tau1, is finished modulo tau2.  It keeps no
-column witness, and logs its row operations and replays them only for
-factors of order >= 2.  Its finish is one private diagonalization of a
-rectangular matrix modulo a given N, which sandpile also runs for the
+column witness and no row witness: the finish carries its row transform
+beside R mod tau2, and each factor of order >= 2 replays its row through
+the exact row operations once.  The finish is one private diagonalization
+of a rectangular matrix modulo a given N, which sandpile also runs for the
 subgroups and quotients of Pic0.  The kernel's exact stage also gives
 |det| of sparse rows, with Bareiss only on the block it leaves: sandpile
 takes |P(x)| and the matrix-tree count that way, with no dense matrix.
@@ -223,10 +224,12 @@ def _replay_exact(start: dict, sources: list, popped: list, order: int) -> tuple
     return tuple(y)
 
 
-def _diagonalize_mod(m: list, n: int) -> tuple:
-    """Diagonalize the matrix m of residues mod n, given as its rows, by row
-    operations invertible mod n and column operations (not tracked).  The
-    rows are consumed.
+def _diagonalize_mod(m: list, n: int, width: int = None) -> list:
+    """Diagonalize the first width columns (all by default) of the matrix m
+    of residues mod n, given as its rows, by row operations invertible mod
+    n and column operations (not tracked) among those columns.  The rows
+    are consumed; row operations carry the other columns along, so a block
+    that starts as the identity ends holding the row transform.
 
     A unit pivot clears its column with its inverse, which is computed only
     when some active row has a nonzero entry there; otherwise the least
@@ -239,31 +242,21 @@ def _diagonalize_mod(m: list, n: int) -> tuple:
     entries are multiples of it, which column operations would clear
     without touching another row, so the finished rows are left as they
     are.  Column steps alone diagonalize a single row, so one row gives the
-    pivot gcd(row) mod n and an empty log.
+    pivot gcd(row) mod n and no row operation.
 
-    Returns (pivots, log).  pivots lists (row, pivot) for every row, in the
-    order the rows were finished, with pivot 0 for a row that ends zero mod
-    n: the cokernel of m over Z/n is isomorphic to the sum of the
-    Z/gcd(pivot, n), and its column span to the sum of the pivot * Z/n.  A
-    pivot matters only up to a unit mod n, through gcd(pivot, n).
-    log holds the row operations in order: (dst, src, c) for row
-    dst -= c * row src, and (p, i, s, t, e, f) for rows
-    (p, i) <- (s*p + t*i, e*i - f*p).
+    Returns pivots: (row, pivot) for every row, in the order the rows were
+    finished, with pivot 0 for a row that ends zero mod n: the cokernel of
+    m over Z/n is isomorphic to the sum of the Z/gcd(pivot, n), and its
+    column span to the sum of the pivot * Z/n.  A pivot matters only up to
+    a unit mod n, through gcd(pivot, n).
     """
+    if width is None:
+        width = len(m[0]) if m else 0
     if len(m) == 1:
-        return [(0, math.gcd(*m[0]) % n)], []
-    width = len(m[0]) if m else 0
-    log = []
+        return [(0, math.gcd(*m[0][:width]) % n)]
 
     def combine(dst, src, c):
         m[dst] = [(x - c * y) % n for x, y in zip(m[dst], m[src])]
-        log.append((dst, src, c))
-
-    def merge(p, i, s, t, e, f):
-        x, y = m[p], m[i]
-        m[p] = [(s * v + t * w) % n for v, w in zip(x, y)]
-        m[i] = [(e * w - f * v) % n for v, w in zip(x, y)]
-        log.append((p, i, s, t, e, f))
 
     pivots = []
     active = list(range(len(m)))
@@ -300,9 +293,12 @@ def _diagonalize_mod(m: list, n: int) -> tuple:
                 d = m[p][q]
                 if b % d == 0:
                     combine(i, p, b // d)
-                else:
+                else:  # rows (p, i) <- (s*p + t*i, e*i - f*p)
                     g, s, t = _xgcd(d, b)
-                    merge(p, i, s, t, d // g, b // g)
+                    e, f = d // g, b // g
+                    x, y = m[p], m[i]
+                    m[p] = [(s * v + t * w) % n for v, w in zip(x, y)]
+                    m[i] = [(e * w - f * v) % n for v, w in zip(x, y)]
             d = m[p][q]
             j = next((j for j in range(width) if j != q and m[p][j] % d), None)
             if j is None:
@@ -319,7 +315,7 @@ def _diagonalize_mod(m: list, n: int) -> tuple:
                 row[q], row[j] = (s * v + t * w) % n, (e * w - f * v) % n
         pivots.append((p, m[p][q]))
     pivots += [(i, 0) for i in active]
-    return pivots, log
+    return pivots
 
 
 def _split_exact(rows: dict) -> tuple:
@@ -414,8 +410,8 @@ def _cokernel_rows(rows: dict) -> tuple:
     Returns (orders, rows): coker a is the direct sum of Z/o over the orders
     o >= 2, which need not form a divisibility chain, and the class of x has
     coordinates (rows[i] . x) mod orders[i].  No column witness is built,
-    and no row witness either: the kernel logs its row operations and
-    replays them only for factors of order >= 2.
+    and no row witness either: each factor of order >= 2 takes its row back
+    through the exact row operations once.
 
     First the exact stage, _split_exact, splits off Z/|d| for every pivot d
     that divides its row and its column.  The residual block R, r x r, is
@@ -434,87 +430,72 @@ def _cokernel_rows(rows: dict) -> tuple:
       g is prime to tau1, and the tau1-primary part of coker R has order
       tau1: that part is Z/tau1, with coordinate row y.
     - The tau2-primary part is coker R / tau2 coker R, the cokernel of
-      R mod tau2 over Z/tau2, and _diagonalize_mod finishes it: a pivot d
-      leaves Z/gcd(d, tau2), and a row that is zero mod tau2 leaves
-      Z/tau2.  When y is a unit mod tau, as it usually is for a cyclic
-      coker R, tau2 = 1 and no finish runs.
+      R mod tau2 over Z/tau2, and _diagonalize_mod finishes it on
+      [R mod tau2 | I_r], whose identity block ends holding the row
+      transform P: a pivot d on row p leaves Z/gcd(d, tau2) with row P_p,
+      and a row that is zero mod tau2 leaves Z/tau2.  When y is a unit
+      mod tau, as it usually is for a cyclic coker R, tau2 = 1 and no
+      finish runs.
     tau1 and tau2 are coprime, so Z/tau1 joins the finish's largest factor
     Z/o as Z/(tau1 * o) by CRT, and the split adds no factor.
 
-    The coordinate row of the factor split off at row p is e_p E_t ... E_1,
-    E_1 .. E_t the row operations done until then, mod its order; a factor
-    of R goes back through the operations mod tau2 and then through all
-    the exact ones.  Walking the log backwards, row dst -= c * row src
-    becomes y[src] -= c * y[dst].
+    Each factor is (order, start), start its row as {row: coefficient}
+    before the exact row operations E_1 .. E_t: e_p for the factor split
+    off at row p, its row over R for a factor of R.  Its coordinate row,
+    start E_t ... E_1 mod its order, is replayed by _replay_exact.
     """
     pivots, sources, top = _split_exact(rows)
-    # the pivot rows in the order they were split off; no later operation
-    # has row p as its destination, so the rows split off after p add
-    # nothing to its replay
-    popped = [p for p, _ in pivots]
-    orders, out = [], []
-    for t, (p, least) in enumerate(pivots):
-        if least > 1:  # column operations cleared the rest of row p
-            orders.append(least)
-            out.append(_replay_exact({p: 1}, sources, popped[: t + 1], least))
-
+    # column operations cleared the rest of each pivot row p
+    factors = [(least, {p: 1}) for p, least in pivots if least > 1]
     left = sorted(rows)
     r = len(left)
-    if not r:
-        return tuple(orders), tuple(out)
-    popped += left  # no exact operation has a residual row as its source
-    # R^T y_i = D c_i, so y_i R = D c_i^T with D = +-tau
-    fixed = _fixed_columns(r)
-    det, (y1, y2) = _solve_rows(
-        [[rows[i].get(j, 0) for i in left] + [c[l] for c in fixed] for l, j in enumerate(top)]
-    )
-    tau = abs(det)
-    y, g = y1, math.gcd(tau, *y1)
-    for lam in range(1, _LAMBDAS):
-        if g == 1:
-            break
-        candidate = [a + lam * b for a, b in zip(y1, y2)]
-        h = math.gcd(tau, *candidate)
-        if h < g:
-            y, g = candidate, h
-    # tau = tau1 * tau2, tau1 prime to g: y is onto Z/tau1
-    tau1 = tau
-    d = math.gcd(tau1, g)
-    while d > 1:
-        tau1 //= d
-        d = math.gcd(tau1, d)
-    tau2 = tau // tau1
-    factors = []  # (order, coordinate row over the residual rows)
-    if tau2 > 1:
-        pivots, tau_log = _diagonalize_mod(
-            [[rows[i].get(j, 0) % tau2 for j in top] for i in left], tau2
+    if r:
+        # R^T y_i = D c_i, so y_i R = D c_i^T with D = +-tau
+        fixed = _fixed_columns(r)
+        det, (y1, y2) = _solve_rows(
+            [[rows[i].get(j, 0) for i in left] + [c[l] for c in fixed] for l, j in enumerate(top)]
         )
-        for p, pivot in pivots:
-            order = math.gcd(pivot, tau2)
-            if order == 1:
-                continue
-            z = [int(l == p) for l in range(r)]
-            for op in reversed(tau_log):
-                if len(op) == 3:  # row dst -= c * row src
-                    dst, src, c = op
-                    z[src] = (z[src] - c * z[dst]) % order
-                else:  # rows (a, b) <- (s*a + t*b, e*b - f*a)
-                    a, b, s, t, e, f = op
-                    z[a], z[b] = (s * z[a] - f * z[b]) % order, (t * z[a] + e * z[b]) % order
-            factors.append((order, z))
-    if tau1 > 1:
-        if factors:  # Z/tau1 x Z/o = Z/(tau1 * o), o the largest order
-            i = max(range(len(factors)), key=lambda k: factors[k][0])
-            o, z = factors[i]
-            u, v = o * pow(o, -1, tau1), tau1 * pow(tau1, -1, o)
-            factors[i] = (o * tau1, [a * u + b * v for a, b in zip(y, z)])
-        else:
-            factors.append((tau1, y))
-    for order, z in factors:
-        orders.append(order)
-        start = {left[l]: c for l, c in enumerate(z) if c % order}
-        out.append(_replay_exact(start, sources, popped, order))
-    return tuple(orders), tuple(out)
+        tau = abs(det)
+        y, g = y1, math.gcd(tau, *y1)
+        for lam in range(1, _LAMBDAS):
+            if g == 1:
+                break
+            candidate = [a + lam * b for a, b in zip(y1, y2)]
+            h = math.gcd(tau, *candidate)
+            if h < g:
+                y, g = candidate, h
+        # tau = tau1 * tau2, tau1 prime to g: y is onto Z/tau1
+        tau1 = tau
+        d = math.gcd(tau1, g)
+        while d > 1:
+            tau1 //= d
+            d = math.gcd(tau1, d)
+        tau2 = tau // tau1
+        residual = []  # (order, coordinate row over the residual rows)
+        if tau2 > 1:
+            m = [
+                [rows[i].get(j, 0) % tau2 for j in top] + [int(l == c) for c in range(r)]
+                for l, i in enumerate(left)
+            ]
+            for p, pivot in _diagonalize_mod(m, tau2, r):
+                order = math.gcd(pivot, tau2)
+                if order > 1:
+                    residual.append((order, [c % order for c in m[p][r:]]))
+        if tau1 > 1:
+            if residual:  # Z/tau1 x Z/o = Z/(tau1 * o), o the largest order
+                i = max(range(len(residual)), key=lambda k: residual[k][0])
+                o, z = residual[i]
+                u, v = o * pow(o, -1, tau1), tau1 * pow(tau1, -1, o)
+                residual[i] = (o * tau1, [a * u + b * v for a, b in zip(y, z)])
+            else:
+                residual.append((tau1, y))
+        factors += [(o, {left[l]: c for l, c in enumerate(z) if c % o}) for o, z in residual]
+    # the rows in the order they were split off, then the residual rows,
+    # which no exact operation has as its source; a row split off after p
+    # passes nothing back to p, so one replay serves every factor
+    popped = [p for p, _ in pivots] + left
+    orders = tuple(order for order, _ in factors)
+    return orders, tuple(_replay_exact(start, sources, popped, order) for order, start in factors)
 
 
 # y_1 + lam * y_2 for lam in range(_LAMBDAS) on the residual's two solutions

@@ -396,8 +396,7 @@ def _quotient(factors: tuple, rows: list) -> CriticalGroup:
         row + [d % n if j == i else 0 for j in range(s)]
         for i, (d, row) in enumerate(zip(factors, rows))
     ]
-    pivots, _ = _diagonalize_mod(m, n)
-    return CriticalGroup.from_cyclic_orders(math.gcd(p, n) for _, p in pivots)
+    return CriticalGroup.from_cyclic_orders(math.gcd(p, n) for _, p in _diagonalize_mod(m, n))
 
 
 def _subgroup(factors: tuple, rows: list) -> CriticalGroup:
@@ -407,8 +406,7 @@ def _subgroup(factors: tuple, rows: list) -> CriticalGroup:
     N/gcd(pivot, N), over the pivots left by diagonalizing mod N."""
     n = math.lcm(*factors)
     m = [[c * (n // d) for c in row] for d, row in zip(factors, rows)]
-    pivots, _ = _diagonalize_mod(m, n)
-    return CriticalGroup.from_cyclic_orders(n // math.gcd(p, n) for _, p in pivots)
+    return CriticalGroup.from_cyclic_orders(n // math.gcd(p, n) for _, p in _diagonalize_mod(m, n))
 
 
 def quotient_by_classes(g: Graph, generators: Iterable[Sequence[int]]) -> CriticalGroup:

@@ -124,7 +124,7 @@ def verify_cone_theorem(g: Graph, n: int) -> ConeSequenceReport:
     if not is_connected(g):
         raise NotConnectedError("cone theorem verification needs a connected base graph")
     pic0, subgroup, quotient_h = _cone_groups(g, n)
-    p_at_minus_n = abs(_restricted_char_value(g, -n))
+    p_at_minus_n = _restricted_char_value(g, -n)
     return ConeSequenceReport(
         base_vertices=k,
         cone_size=n,
@@ -150,7 +150,7 @@ def verify_join_theorem(gs: Sequence[Graph]) -> JoinOrderReport:
     lhs = spanning_tree_count(joined)
     rhs = k ** (len(gs) - 2)
     for g_i, k_i in zip(gs, counts):
-        rhs *= abs(_restricted_char_value(g_i, k_i - k))
+        rhs *= _restricted_char_value(g_i, k_i - k)
     return JoinOrderReport(
         factor_vertex_counts=counts,
         total_vertices=k,

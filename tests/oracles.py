@@ -206,15 +206,19 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
 
 # The library's earlier diagonalization mod n: an inverse for every unit
 # pivot and an extended gcd for every column step, even where no other row
-# is left to use them.  The library skips both there, and must leave the
-# pivots and the log of every call with two or more rows as they were.
+# is left to use them, and a log of its row operations.  The library skips
+# both there and keeps no log, and must leave the pivots and the rows of
+# every call with two or more rows as they were, a carried block included.
 
 
 def diagonalize_mod_xgcd(m: list, n: int, width: int = None) -> tuple:
-    """(pivots, log) of intlinalg._diagonalize_mod for the matrix m of
-    residues mod n, given as its rows, which are consumed.  Only the first
-    width columns (all by default) are diagonalized; row operations carry
-    the other columns along, so they can record the operations.
+    """(pivots, log): the pivots of intlinalg._diagonalize_mod for the
+    matrix m of residues mod n, given as its rows, which are consumed, and
+    its row operations in order, (dst, src, c) for row dst -= c * row src
+    and (p, i, s, t, e, f) for rows (p, i) <- (s*p + t*i, e*i - f*p).  Only
+    the first width columns (all by default) are diagonalized; row
+    operations carry the other columns along, so they can record the
+    operations.
 
     A unit pivot clears its column with its inverse; otherwise the least
     nonzero entry is the pivot, an entry it divides is cleared by plain
@@ -290,8 +294,8 @@ def diagonalize_mod_xgcd(m: list, n: int, width: int = None) -> tuple:
 
 # The Pic0 kernel with its row witness carried along: every exact row
 # operation also updates a sparse row of U, and every row mod tau carries
-# the operations done on it as [R | P].  The library logs its row
-# operations instead and replays them only for factors of order >= 2, and
+# the operations done on it as [R | P].  The library keeps no U: it
+# replays the exact operations only for factors of order >= 2, and
 # it reads the part of the residual whose primes a solve certifies cyclic
 # off that solve, finishing only the rest modulo tau2.  Coordinate rows are
 # not unique, so the two agree on rows only when no residual block is left;

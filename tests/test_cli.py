@@ -549,7 +549,7 @@ class TestRegressions:
 
         p5 = graph_file("p5.txt", path(5))
         monkeypatch.setattr(cli, "critical_group", lambda g: CriticalGroup((big,)))
-        monkeypatch.setattr(cli, "char_poly_restricted", lambda g: IntPoly([5 * big, 1]))
+        monkeypatch.setattr(cli, "_cone_char_poly", lambda g, n: IntPoly([5 * big, 1]))
         code, records = run_json(["group", p5])
         assert code == 0
         result = records[0]["result"]

@@ -10,6 +10,7 @@ import json
 import os
 import random
 import tempfile
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from chipfire import (
     cone,
     format_edge_list,
     is_connected,
+    join,
     laplacian,
     path,
     poly_divide_by_x,
@@ -32,6 +34,7 @@ from chipfire import (
     verify_cone_theorem,
     verify_tree_bound,
 )
+from chipfire import cli
 from chipfire.cli import main
 from chipfire.sandpile import _cone_char_poly, _cone_groups
 import oracles
@@ -184,6 +187,71 @@ class TestConeCommandAgainstExplicitCone:
         expected = oracles.group_result(cone(cone(g, m), n))
         (result,) = cli_results(g, [["cone", "{}", str(n), "--cone", str(m)]])
         assert result == expected
+
+
+def write_files(tmp, gs):
+    names = []
+    for i, g in enumerate(gs):
+        names.append(os.path.join(tmp, f"g{i}.txt"))
+        with open(names[-1], "w", encoding="utf-8") as fh:
+            fh.write(format_edge_list(g))
+    return names
+
+
+class TestJoinConeAgainstExplicitJoin:
+    """``join FILE... --cone N`` builds no cone: every cone vertex is
+    adjacent to every other vertex, so the join of l N-cones is the
+    (l N)-cone over the join of the files' graphs, disconnected ones
+    included.  Size errors come at the same step as with the built join."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(graphs(max_vertices=5), min_size=1, max_size=3), st.integers(1, 4))
+    def test_random_factors(self, gs, n):
+        expected = oracles.group_result(reduce(join, [cone(g, n) for g in gs]))
+        with tempfile.TemporaryDirectory() as tmp:
+            names = write_files(tmp, gs)
+            code, records = run_json(["join", *names, "--cone", str(n)])
+        assert code == 0
+        assert records == [
+            {"command": "join", "input_summary": " + ".join(names), "result": expected}
+        ]
+
+    def test_no_cone_is_built(self, monkeypatch):
+        def refuse(g, n):
+            raise AssertionError("a cone was built")
+
+        monkeypatch.setattr(cli, "cone", refuse)
+        (result,) = cli_results(path(5), [["join", "{}", "{}", "--cone", "256"]])
+        assert (result["vertices"], len(result["char_poly"])) == (522, 522)
+        assert result["order"] == result["spanning_trees"]
+
+    @pytest.mark.parametrize(
+        "sizes, n, code, message",
+        [
+            # the cones fit, but the join of the first two does not
+            ((2047, 2047), 2, 3, "graph on 4098 vertices exceeds the limit of 4096"),
+            ((1400, 1400, 1400), 1, 3, "graph on 4203 vertices exceeds the limit of 4096"),
+            # the first factor's cone is refused before the next file is read
+            (
+                (4000, None),
+                200,
+                3,
+                "cone of a graph on 4000 vertices with 200 cone vertices has 4200 "
+                "vertices, more than the limit of 4096",
+            ),
+            ((5, 5), 0, 2, "cone size must be at least 1"),
+            ((5, 5), 2049, 3, "complete graph on 2049 vertices exceeds the limit of 2048"),
+        ],
+        ids=["second-join", "third-join", "first-cone", "cone-0", "cone-2049"],
+    )
+    def test_oversize(self, tmp_path, capsys, sizes, n, code, message):
+        # a size of None names a file that does not exist
+        names = write_files(tmp_path, [Graph(k) for k in sizes if k is not None])
+        names += [str(tmp_path / "missing.txt")] * sizes.count(None)
+        out = io.StringIO()
+        assert main(["join", *names, "--cone", str(n)], out=out) == code
+        assert out.getvalue() == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def as_int(text):

@@ -379,6 +379,18 @@ def nonsingular_matrices(draw):
     return a
 
 
+def spy_xgcd(monkeypatch) -> list:
+    """Record the arguments (a, b) of every _xgcd call in intlinalg."""
+    real, steps = intlinalg._xgcd, []
+
+    def spy(a, b):
+        steps.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(intlinalg, "_xgcd", spy)
+    return steps
+
+
 class TestCokernelModDeterminant:
     """The presentation of coker a built modulo |det a|, without a column
     witness, against the exact SNF."""
@@ -408,18 +420,25 @@ class TestCokernelModDeterminant:
     def test_reduced_laplacians(self, a):
         self.assert_presents_cokernel(a)
 
-    def test_entry_equal_to_the_pivot_is_cleared_by_plain_elimination(self):
+    def test_entry_equal_to_the_pivot_is_cleared_by_plain_elimination(self, monkeypatch):
         # no entry is a unit mod 12: the pivot 3 divides the 3 below it, so
         # row 1 loses row 0 and row 0 stays the pivot row; an extended-gcd
-        # step would swap the rows' roles instead
-        pivots, log = intlinalg._diagonalize_mod([[3, 4], [3, 8]], 12)
-        assert log[0] == (1, 0, 1)
+        # step would swap the rows' roles instead.  The column step (3, 4)
+        # leaves the pivot 1, and row 1 loses 4 more times row 0, so
+        # [m | I] ends with row 0 carrying [1, 0] and row 1 carrying
+        # e_1 - 5 e_0 = [7, 1] mod 12
+        steps = spy_xgcd(monkeypatch)
+        m = [[3, 4, 1, 0], [3, 8, 0, 1]]
+        pivots = intlinalg._diagonalize_mod(m, 12, 2)
+        assert [row[2:] for row in m] == [[1, 0], [7, 1]]
+        assert steps == [(3, 4)]
         assert pivots == [(0, 1), (1, 0)]
+        assert intlinalg._diagonalize_mod([[3, 4], [3, 8]], 12) == pivots
         # in the kernel no entry divides its row, so the 2 x 2 block is
         # the residual, with tau = 12
         self.assert_presents_cokernel(IntMatrix.from_rows([[3, 4], [3, 8]]))
 
-    def test_entries_the_pivot_divides_are_cleared_by_plain_elimination_mod_n(self):
+    def test_entries_the_pivot_divides_are_cleared_by_plain_elimination_mod_n(self, monkeypatch):
         # (g, s, t) = _xgcd(d, d) is (d, 0, 1), so an extended-gcd step on an
         # entry equal to the pivot would swap the two rows' roles; a pivot
         # rule that took it looped forever on m mod 7.  Doubled, m has no
@@ -431,14 +450,16 @@ class TestCokernelModDeterminant:
             [0, 6, 6, 0, 0, 0, 0, 0, 0],
             [0, 6, 2, 0, 0, 0, 0, 0, 0],
         ]
+        steps = spy_xgcd(monkeypatch)
         for scale, n in ((1, 7), (2, 14)):
             rows = [[scale * x % n for x in row] for row in m]
             a = IntMatrix.from_rows([row + [n * (i == j) for j in range(5)] for i, row in enumerate(rows)])
-            pivots, log = intlinalg._diagonalize_mod(rows, n)
+            steps.clear()
+            pivots = intlinalg._diagonalize_mod(rows, n)
             assert sorted(i for i, _ in pivots) == list(range(5))
-            # a merge (p, i, s, t, d/g, b/g) with d/g = 1 is one on an entry
-            # b that the pivot d divides
-            assert all(len(op) == 3 or op[4] > 1 for op in log)
+            # every merge, by rows or by columns, takes _xgcd(d, b) of the
+            # pivot d and an entry b; none is on an entry that d divides
+            assert not [(d, b) for d, b in steps if b % d == 0]
             assert CriticalGroup.from_cyclic_orders(math.gcd(p, n) for _, p in pivots) == (
                 CriticalGroup.from_diagonal(smith_normal_form(a).diagonal)
             )
@@ -468,7 +489,7 @@ class TestCokernelModDeterminant:
         assert intlinalg._cokernel_rows({0: {0: 5}}) == ((5,), ((1,),))
 
     def test_coordinate_rows_are_replayed_once_per_factor(self, monkeypatch):
-        # no row witness: the log of row operations is replayed once for
+        # no row witness: the exact row operations are replayed once for
         # each factor of order >= 2, so never on a path, whose Pic0 is
         # trivial, once on a cycle and 10 times on K_12, (Z/12)^10
         starts = []
@@ -532,39 +553,55 @@ class TestDiagonalizeMod:
     )
     def test_one_row_is_its_gcd(self, monkeypatch, row, n, order):
         calls = self.spy_pow(monkeypatch)
-        pivots, log = intlinalg._diagonalize_mod([row], n)
+        pivots = intlinalg._diagonalize_mod([list(row)], n)
         assert len(pivots) == 1 and pivots[0][0] == 0
         assert math.gcd(pivots[0][1], n) == order
-        assert log == [] and calls == []
+        # with [row | 1], the carried block is still the identity
+        m = [row + [1]]
+        assert intlinalg._diagonalize_mod(m, n, len(row)) == pivots
+        assert m[0][len(row) :] == [1] and calls == []
 
     def test_a_unit_pivot_with_nothing_below_computes_no_inverse(self, monkeypatch):
         calls = self.spy_pow(monkeypatch)
-        # the units 1 and 3 have only zeros below them
-        pivots, log = intlinalg._diagonalize_mod([[1, 2], [0, 3]], 5)
-        assert pivots == [(0, 1), (1, 3)] and log == [] and calls == []
-        # the 3 under the 1 needs its inverse, and the last row none
-        pivots, log = intlinalg._diagonalize_mod([[1, 2], [3, 4]], 5)
+        # the units 1 and 3 have only zeros below them, so the block
+        # carried beside them is still the identity
+        m = [[1, 2, 1, 0], [0, 3, 0, 1]]
+        pivots = intlinalg._diagonalize_mod(m, 5, 2)
+        assert pivots == [(0, 1), (1, 3)] and calls == []
+        assert [row[2:] for row in m] == [[1, 0], [0, 1]]
+        # the 3 under the 1 needs its inverse, and the last row none: row 1
+        # loses 3 times row 0, so it carries [-3, 1] mod 5
+        m = [[1, 2, 1, 0], [3, 4, 0, 1]]
+        pivots = intlinalg._diagonalize_mod(m, 5, 2)
         assert calls == [(1, -1, 5)]
-        assert pivots == [(0, 1), (1, 3)] and log == [(1, 0, 3)]
+        assert pivots == [(0, 1), (1, 3)] and [row[2:] for row in m] == [[1, 0], [2, 1]]
 
     def test_the_last_rows_column_steps_take_a_plain_gcd(self, monkeypatch):
         # no unit mod 12: row 0 finishes on its 2, then row 1 alone merges
         # its 4 and 6 to gcd 2 by a column step, which an extended gcd
         # (g, s, t) = (2, -1, 1) also gives: (s*4 + t*6, 2*6 - 3*4) = (2, 0)
-        real = intlinalg._xgcd
-        steps = []
-        monkeypatch.setattr(intlinalg, "_xgcd", lambda a, b: steps.append((a, b)) or real(a, b))
-        assert real(4, 6) == (2, -1, 1)
-        pivots, log = intlinalg._diagonalize_mod([[2, 0, 0], [0, 4, 6]], 12)
-        assert pivots == [(0, 2), (1, 2)] and log == [] and steps == []
-        assert (pivots, log) == oracles.diagonalize_mod_xgcd([[2, 0, 0], [0, 4, 6]], 12)
+        assert intlinalg._xgcd(4, 6) == (2, -1, 1)
+        steps = spy_xgcd(monkeypatch)
+        m = [[2, 0, 0, 1, 0], [0, 4, 6, 0, 1]]
+        pivots = intlinalg._diagonalize_mod(m, 12, 3)
+        assert pivots == [(0, 2), (1, 2)] and steps == []
+        assert [row[3:] for row in m] == [[1, 0], [0, 1]]
+        expected = [[2, 0, 0, 1, 0], [0, 4, 6, 0, 1]]
+        assert pivots == oracles.diagonalize_mod_xgcd(expected, 12, 3)[0] and m == expected
 
     @settings(max_examples=400, deadline=None)
     @given(residues_mod(min_rows=2))
     def test_rows_pivots_and_log_as_with_every_inverse_and_xgcd(self, mn):
+        # [m | I]: the pivots, the diagonalized block and the row transform
+        # carried beside it are those of the oracle, which logs each step
         m, n = mn
-        expected = oracles.diagonalize_mod_xgcd([list(row) for row in m], n)
-        assert intlinalg._diagonalize_mod([list(row) for row in m], n) == expected
+        width = len(m[0])
+        augmented = [row + [int(i == j) for j in range(len(m))] for i, row in enumerate(m)]
+        expected = [list(row) for row in augmented]
+        pivots, _ = oracles.diagonalize_mod_xgcd(expected, n, width)
+        assert intlinalg._diagonalize_mod(augmented, n, width) == pivots
+        assert augmented == expected
+        assert intlinalg._diagonalize_mod([list(row) for row in m], n) == pivots
 
     @settings(max_examples=300, deadline=None)
     @given(residues_mod())
@@ -575,7 +612,7 @@ class TestDiagonalizeMod:
         r = len(m)
         a = IntMatrix.from_rows([row + [n * (i == j) for j in range(r)] for i, row in enumerate(m)])
         diagonal = smith_normal_form(a).diagonal
-        pivots, _ = intlinalg._diagonalize_mod([list(row) for row in m], n)
+        pivots = intlinalg._diagonalize_mod([list(row) for row in m], n)
         assert sorted(i for i, _ in pivots) == list(range(r))
         orders = [math.gcd(p, n) for _, p in pivots]
         assert CriticalGroup.from_cyclic_orders(orders) == CriticalGroup.from_diagonal(diagonal)
@@ -600,9 +637,9 @@ class TestResidualSplit:
             taus.append(abs(det))
             return det, solutions
 
-        def diagonalize(m, n):
+        def diagonalize(m, n, *args):
             moduli.append(n)
-            return real_diagonalize(m, n)
+            return real_diagonalize(m, n, *args)
 
         monkeypatch.setattr(intlinalg, "_solve_rows", solve)
         monkeypatch.setattr(intlinalg, "_diagonalize_mod", diagonalize)

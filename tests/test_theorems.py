@@ -225,9 +225,9 @@ class TestConeTheoremSharesOneSnf:
             kernels.append((size, len(factors)))
             return factors, out
 
-        def diagonalize(m, n):
+        def diagonalize(m, n, *args):
             shapes.append((len(m), len(m[0])))
-            return real_diagonalize(m, n)
+            return real_diagonalize(m, n, *args)
 
         monkeypatch.setattr(sandpile, "_cokernel_rows", kernel)
         monkeypatch.setattr(sandpile, "_diagonalize_mod", diagonalize)

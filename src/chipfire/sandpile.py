@@ -2,11 +2,14 @@
 
 The chip-firing (critical) group of a connected graph is the cokernel of the
 reduced Laplacian Lred, the Laplacian with vertex 0 deleted (the group is
-the same whichever vertex is deleted).  One presentation per graph, cached,
-writes it as a direct sum Z/d_1 x ... x Z/d_s of cyclic groups (any such
-decomposition, not only the invariant factors): the class of a degree-zero
-divisor has coordinates (U_i . x) mod d_i, where x is the divisor with
-vertex 0 dropped and U_i is the row of the presentation matching d_i.
+the same whichever vertex is deleted).  One presentation per graph writes
+it as a direct sum Z/d_1 x ... x Z/d_s of cyclic groups (any such
+decomposition, not only the invariant factors), kept as long as the Graph
+object it presents and no longer, so every query on a held graph shares
+it and a dropped graph leaves nothing behind; an equal graph built again is
+presented again.  The class of a degree-zero divisor has coordinates
+(U_i . x) mod d_i, where x is the divisor with vertex 0 dropped and U_i is
+the row of the presentation matching d_i.
 Every divisor-class question (is this divisor principal, what is the order
 of its class, what group do some classes generate or leave over) is then
 answered in those coordinates: a subgroup or a quotient takes one
@@ -44,8 +47,9 @@ constraint is a checked precondition rather than a separate type.
 from __future__ import annotations
 
 import math
+import weakref
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -217,11 +221,48 @@ def _class_order(factors: Sequence[int], coordinates: Sequence[int]) -> int:
     return math.lcm(*(d // math.gcd(d, c) for d, c in zip(factors, coordinates)))
 
 
-@lru_cache(maxsize=256)
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+_presentations = {}  # id(g) -> (weak reference to g, presentation of g)
+_hits = _misses = 0
+
+
 def _reduced_snf(g: Graph) -> _Presentation:
-    """The cached presentation of Pic0(g), from the cokernel of Lred."""
+    """The presentation of Pic0(g), from the cokernel of Lred, kept as long
+    as the object g lives.
+
+    The entry is keyed by id(g), so a hit hashes no edges, and a weak
+    reference to g pops it when g is collected, before its id can be reused.
+    An equal graph built again is another object and is presented again.
+    """
+    global _hits, _misses
+    key = id(g)
+    entry = _presentations.get(key)
+    if entry is not None:
+        _hits += 1
+        return entry[1]
+    _misses += 1
     _require_connected(g)
-    return _Presentation(*_cokernel_rows(_reduced_rows(g)))
+    pic0 = _Presentation(*_cokernel_rows(_reduced_rows(g)))
+    pop = _presentations.pop  # bound here: module globals may be gone at exit
+    _presentations[key] = (weakref.ref(g, lambda _: pop(key, None)), pic0)
+    return pic0
+
+
+def _cache_info() -> _CacheInfo:
+    """hits, misses, maxsize (None: no bound) and currsize, the number of
+    live graphs with a presentation, as functools.lru_cache reports them."""
+    return _CacheInfo(_hits, _misses, None, len(_presentations))
+
+
+def _cache_clear() -> None:
+    """Drop every presentation and zero the counters."""
+    global _hits, _misses
+    _presentations.clear()
+    _hits = _misses = 0
+
+
+_reduced_snf.cache_info = _cache_info
+_reduced_snf.cache_clear = _cache_clear
 
 
 def critical_group(g: Graph) -> CriticalGroup:

@@ -176,17 +176,22 @@ def _cone_laplacian_times(rows: dict, n: int, x: Sequence[int]) -> tuple:
     time and memory: neither K_n nor the Laplacian of the cone is built.
 
     Base row v is ((L + nI) x)_v - (sum of x over the cone); cone row c is
-    (k + n) x_c - (sum of all x).
+    (k + n) x_c - (sum of all x).  A vector that vanishes on the base, such
+    as a cone difference, has every base row equal to -(sum over the cone),
+    and the rows of g are not read.
     """
     k = len(rows)
     cone_sum = sum(x[k:])
     total = sum(x[:k]) + cone_sum
-    y = []
-    for row in rows.values():
-        acc = -cone_sum
-        for w, a in row.items():
-            acc += a * x[w]
-        y.append(acc)
+    if any(x[:k]):
+        y = []
+        for row in rows.values():
+            acc = -cone_sum
+            for w, a in row.items():
+                acc += a * x[w]
+            y.append(acc)
+    else:
+        y = [-cone_sum] * k
     y += [(k + n) * c - total for c in x[k:]]
     return tuple(y)
 

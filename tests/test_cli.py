@@ -28,7 +28,7 @@ from chipfire import (
     reduced_laplacian,
     spanning_tree_count,
 )
-from chipfire import cli
+from chipfire import cli, sandpile
 from chipfire.cli import main
 from oracles import smith_normal_form
 
@@ -581,6 +581,19 @@ class TestRegressions:
         assert run(["group", p5])[0] == 0
         assert run(["verify", "eigen", p5, "-n", "2"])[0] == 0
         assert built == []
+
+    def test_presentations_do_not_outlive_the_command(self, graph_file):
+        # the benchmark's loop: group, cone FILE 2 and verify cone on
+        # distinct files; each presentation goes with the graph it presents
+        before = sandpile._reduced_snf.cache_info()
+        rng = random.Random(29)
+        for i in range(20):
+            name = graph_file(f"g{i}.txt", random_connected_graph(rng, rng.randint(4, 14), 0.4))
+            for argv in (["group", name], ["cone", name, "2"], ["verify", "cone", name, "-n", "2"]):
+                assert run(argv)[0] == 0
+        after = sandpile._reduced_snf.cache_info()
+        assert after.misses >= before.misses + 20
+        assert after.currsize == before.currsize
 
 
 

@@ -9,6 +9,7 @@ import itertools
 import operator
 import random
 import tracemalloc
+import weakref
 from unittest import mock
 
 import pytest
@@ -889,3 +890,73 @@ class TestNoMatrixAdapters:
                 reduced_laplacian(g, v)
                 assert len(calls) == 1
             calls.clear()
+
+
+class TestPresentationLifetime:
+    """One presentation per live Graph object: every query on a held graph
+    shares it, and it goes when the graph is collected."""
+
+    @staticmethod
+    def kernel_calls(monkeypatch):
+        calls = []
+        real = sandpile._cokernel_rows
+
+        def counting(rows):
+            calls.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(sandpile, "_cokernel_rows", counting)
+        return calls
+
+    def test_a_held_graph_is_presented_once(self, monkeypatch):
+        calls = self.kernel_calls(monkeypatch)
+        g = random_connected_graph(random.Random(29), 12, 0.4)
+        d = vertex_difference(g, 1, 11)
+        critical_group(g)
+        is_principal(g, d)
+        class_order(g, d)
+        quotient_by_classes(g, [d])
+        subgroup_invariants(g, [d])
+        assert calls == [11]
+
+    def test_presentation_goes_with_its_graph(self):
+        before = sandpile._reduced_snf.cache_info()
+        g = random_connected_graph(random.Random(30), 12, 0.4)
+        presentation = weakref.ref(sandpile._reduced_snf(g))
+        after = sandpile._reduced_snf.cache_info()
+        assert after.currsize == before.currsize + 1
+        assert after.misses == before.misses + 1 and after.maxsize is None
+        assert presentation() is not None
+        del g
+        assert sandpile._reduced_snf.cache_info().currsize == before.currsize
+        assert presentation() is None
+
+    def test_dropped_graphs_leave_nothing_behind(self):
+        before = sandpile._reduced_snf.cache_info().currsize
+        for seed in range(300):
+            rng = random.Random(seed)
+            g = random_connected_graph(rng, rng.randint(1, 12), 0.4)
+            fresh = sandpile._Presentation(*intlinalg._cokernel_rows(sandpile._reduced_rows(g)))
+            assert sandpile._reduced_snf(g) == fresh
+            assert sandpile._reduced_snf.cache_info().currsize == before + 1
+            del g
+        assert sandpile._reduced_snf.cache_info().currsize == before
+
+    def test_equal_graphs_built_separately_are_presented_alike(self):
+        edges = random_connected_graph(random.Random(31), 10, 0.5).edges
+        first, second = Graph(10, edges), Graph(10, edges)
+        assert first == second and first is not second
+        before = sandpile._reduced_snf.cache_info()
+        assert sandpile._reduced_snf(first) == sandpile._reduced_snf(second)
+        after = sandpile._reduced_snf.cache_info()
+        assert (after.misses, after.currsize) == (before.misses + 2, before.currsize + 2)
+
+    def test_cache_clear_drops_every_presentation(self):
+        g = random_connected_graph(random.Random(32), 8, 0.5)
+        sandpile._reduced_snf(g)
+        sandpile._reduced_snf(g)
+        assert sandpile._reduced_snf.cache_info().hits >= 1
+        sandpile._reduced_snf.cache_clear()
+        assert sandpile._reduced_snf.cache_info() == (0, 0, None, 0)
+        assert sandpile._reduced_snf(g) == sandpile._reduced_snf(g)
+        assert sandpile._reduced_snf.cache_info() == (1, 1, None, 1)

@@ -1,6 +1,7 @@
 """Tests for the verification harness and its brute-force oracles."""
 
 import itertools
+import math
 import operator
 import random
 import tracemalloc
@@ -24,6 +25,7 @@ from chipfire import (
     direct_sum,
     is_connected,
     is_tree,
+    join,
     laplacian,
     path,
     poly_divide_by_x,
@@ -303,6 +305,39 @@ class TestVerifyJoinTheorem:
             verify_join_theorem([path(3)])
 
 
+def poly_times(a, b):
+    """The product of two ascending coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def poly_shift(q, c):
+    """The coefficients of q(x - c), each (x - c)^i expanded binomially."""
+    out = [0] * len(q)
+    for i, a in enumerate(q):
+        for j in range(i + 1):
+            out[j] += a * math.comb(i, j) * (-c) ** (i - j)
+    return out
+
+
+class TestJoinCharPoly:
+    """P of a join (Merris 1994), which a char_poly that splits joins would
+    rely on: det(xI - L) of join(g1, g2) is x (x - k) Q1(x - k2) Q2(x - k1),
+    with k = k1 + k2 and Q_i = det(xI - L_i) / x, connected or not."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_vertices=6), graphs(max_vertices=6))
+    def test_product_of_shifted_factors(self, g1, g2):
+        k1, k2 = g1.vertex_count, g2.vertex_count
+        q1, q2 = (poly_divide_by_x(char_poly(laplacian(g))).coefficients for g in (g1, g2))
+        outer = poly_times([0, 1], [-(k1 + k2), 1])
+        expected = poly_times(outer, poly_times(poly_shift(q1, k2), poly_shift(q2, k1)))
+        assert char_poly(laplacian(join(g1, g2))).coefficients == tuple(expected)
+
+
 class TestVerifyTreeBound:
     def test_fork_tree(self):
         report = verify_tree_bound(FORK_TREE, 1)
@@ -361,8 +396,14 @@ class TestVerifyEigenvectors:
     @settings(max_examples=150, deadline=None)
     @given(graphs(max_vertices=8), st.integers(1, 6), st.data())
     def test_implicit_product_equals_explicit_laplacian(self, g, n, data):
-        size = g.vertex_count + n
-        x = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=size, max_size=size))
+        # half the vectors vanish on the base, as every cone difference does
+        k = g.vertex_count
+        entries = st.integers(-10**6, 10**6)
+        if data.draw(st.booleans()):
+            base = [0] * k
+        else:
+            base = data.draw(st.lists(entries, min_size=k, max_size=k))
+        x = base + data.draw(st.lists(entries, min_size=n, max_size=n))
         explicit = tuple(sum(map(operator.mul, row, x)) for row in laplacian(cone(g, n)))
         assert _cone_laplacian_times(sandpile._sparse_laplacian(g, n), n, x) == explicit
 

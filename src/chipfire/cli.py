@@ -30,13 +30,8 @@ from typing import Iterable, List, Optional, Sequence
 
 from .errors import InputError, NotConnectedError, SizeError
 from .graphs import Graph, _check_cone_size, _check_vertex_count, cone, join, read_edge_list
-from .intlinalg import IntPoly, _decimal
-from .sandpile import (
-    CriticalGroup,
-    _cone_char_poly,
-    _cone_groups,
-    critical_group,
-)
+from .intlinalg import _decimal
+from .sandpile import _cone_char_poly, _cone_groups, critical_group
 from .theorems import (
     ConeSequenceReport,
     JoinOrderReport,
@@ -146,30 +141,23 @@ def _decimals(values: Iterable[int]) -> list:
     return [_decimal(x) for x in values]
 
 
-def _group_result(vertices: int, edges: int, group: CriticalGroup, poly: IntPoly) -> dict:
+def _cone_result(g: Graph, n: int) -> dict:
+    """The group result of cone(g, n), which is not built: it has k + n
+    vertices and |E| + kn + n(n - 1)/2 edges; n = 0 means g itself."""
+    k = g.vertex_count
+    # critical_group checks that g is connected, so P needs no second check
+    group = _cone_groups(g, n)[0] if n else critical_group(g)
+    poly = _cone_char_poly(g, n)
     return {
-        "vertices": vertices,
-        "edges": edges,
+        "vertices": k + n,
+        "edges": g.edge_count + k * n + n * (n - 1) // 2,
         "invariant_factors": _decimals(group.invariant_factors),
         "group": str(group),
         "order": _decimal(group.order),
-        "spanning_trees": _decimal(abs(poly.coefficients[0]) // vertices),  # |P(0)| = k * tau
+        "spanning_trees": _decimal(abs(poly.coefficients[0]) // (k + n)),  # |P(0)| = (k + n) * tau
         "char_poly": _decimals(poly.coefficients),
         "char_poly_str": str(poly),
     }
-
-
-def _graph_result(g: Graph) -> dict:
-    # critical_group checks that g is connected, so P needs no second check
-    return _group_result(g.vertex_count, g.edge_count, critical_group(g), _cone_char_poly(g, 0))
-
-
-def _cone_result(g: Graph, n: int) -> dict:
-    """The group result of cone(g, n), which is not built: it has k + n
-    vertices and |E| + kn + n(n - 1)/2 edges."""
-    k = g.vertex_count
-    edges = g.edge_count + k * n + n * (n - 1) // 2
-    return _group_result(k + n, edges, _cone_groups(g, n)[0], _cone_char_poly(g, n))
 
 
 def _record(command: str, input_summary: str, result: dict) -> dict:
@@ -323,8 +311,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
                 for size in sizes:
                     _check_cone_size(g.vertex_count + n, size)
                     n += size
-            result = _cone_result(g, n) if n else _graph_result(g)
-            records = [_record(args.command, summary, result)]
+            records = [_record(args.command, summary, _cone_result(g, n))]
             exit_code = EXIT_OK
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

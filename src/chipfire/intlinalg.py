@@ -20,9 +20,12 @@ over columns instead of entries; up to the same crossover, the recurrence
 packs each polynomial the same way.  A private kernel presents the cokernel
 of a nonsingular matrix: it splits off exactly every pivot that divides its
 row and column, and on the block R left it runs one Bareiss pass with two
-fixed right-hand sides.  That gives tau = |det R| and a row y that maps
-coker R onto Z/tau1, tau1 the part of tau prime to gcd(y, tau), so only the
-rest, of order tau2 = tau / tau1, is finished modulo tau2.  It keeps no
+fixed right-hand sides.  That gives tau = |det R| and two solution rows
+y1 and y2; of the candidates y1 and y1 + y2, the row y of smaller
+gcd(y, tau) maps coker R onto Z/tau1, tau1 the part of tau prime to that
+gcd, so only the rest, of order tau2 = tau / tau1, is finished modulo tau2.
+The kernel breaks every tie by row and column index, so its output
+depends only on its matrix, not on the key order of its rows.  It keeps no
 column witness and no row witness: the finish carries its row transform
 beside R mod tau2, and each factor of order >= 2 replays its row through
 the exact row operations once.  The finish is one private diagonalization
@@ -321,8 +324,7 @@ def _diagonalize_mod(m: list, n: int, width: int = None) -> list:
 def _split_exact(rows: dict) -> tuple:
     """The exact stage of the cokernel kernel, on a k x k matrix a given as
     sparse rows {i: {j: a_ij}} of its nonzero entries, i and j in 0..k-1,
-    each row's keys in ascending order (the order breaks ties between
-    pivots).  The rows are consumed, down to the residual block R.
+    which are consumed.
 
     While some row has an entry d that divides every entry of its row and
     of its column (a +-1 entry always does; d then has the least absolute
@@ -331,13 +333,16 @@ def _split_exact(rows: dict) -> tuple:
     leaves the same cokernel on the other rows and columns, and it takes
     the factor |d| out of |det a|.  Sparse rows keep the fill low: shortest
     row first, then its pivot in the shortest column, and a row is queued
-    again whenever an elimination changes it.
+    again whenever an elimination changes it.  Ties go to the least row
+    and then the least column index, so the result depends only on a, not
+    on the order of the keys.
 
-    Returns (pivots, sources, top).  pivots lists (p, |d|) for each row p
-    split off, in order; sources[i] lists (p, c) for each row operation
-    row i -= c * row p, in order; rows is left holding R on its rows and on
-    the columns top, in ascending order.  A row that ends zero is listed
-    with pivot 0, and the stage stops there: a is singular.
+    Returns (pivots, sources, residual).  pivots lists (p, |d|) for each row
+    p split off, in order; sources[i] lists (p, c) for each row operation
+    row i -= c * row p, in order; residual is R as {i: dense row i of R}
+    over the rows left and the columns left, both in ascending order.  A
+    row that ends zero is listed with pivot 0, and the stage stops there
+    with no residual: a is singular.
     """
     k = len(rows)
     cols = {j: set() for j in range(k)}
@@ -354,7 +359,7 @@ def _split_exact(rows: dict) -> tuple:
             continue
         if not length:
             pivots.append((p, 0))
-            break
+            return pivots, sources, {}
         least = min(map(abs, rows[p].values()))
         if least > 1 and any(x % least for x in rows[p].values()):
             continue
@@ -365,7 +370,7 @@ def _split_exact(rows: dict) -> tuple:
         ]
         if not candidates:
             continue
-        q = min(candidates, key=lambda j: len(cols[j]))
+        q = min(candidates, key=lambda j: (len(cols[j]), j))
         prow = rows.pop(p)
         pivot = prow.pop(q)
         for j in prow:
@@ -385,27 +390,26 @@ def _split_exact(rows: dict) -> tuple:
                     cols[j].discard(i)
             sources[i].append((p, c))
             heapq.heappush(queue, (len(row), i))
-    return pivots, sources, sorted(cols)
+    top = sorted(cols)
+    return pivots, sources, {i: [rows[i].get(j, 0) for j in top] for i in sorted(rows)}
 
 
 def _abs_determinant(rows: dict) -> int:
     """|det a| for a square matrix a given as sparse rows, as _split_exact
-    takes them but in any key order (it only breaks ties), which are
-    consumed: the product of the pivots the exact stage splits off times
-    |det R| of the residual block R by Bareiss, and 0 for a singular a."""
-    pivots, _, top = _split_exact(rows)
+    takes them, which are consumed: the product of the pivots the exact
+    stage splits off times |det R| of the residual block R by Bareiss, and
+    0 for a singular a."""
+    pivots, _, residual = _split_exact(rows)
     product = math.prod(d for _, d in pivots)
-    if product and rows:
-        residual = [[row.get(j, 0) for j in top] for _, row in sorted(rows.items())]
-        product *= abs(_solve_rows(residual)[0])
+    if product and residual:
+        product *= abs(_solve_rows(list(residual.values()))[0])
     return product
 
 
 def _cokernel_rows(rows: dict) -> tuple:
     """Orders and coordinate rows of coker a, for a nonsingular k x k matrix a
     given as sparse rows {i: {j: a_ij}} of its nonzero entries, i and j in
-    0..k-1, each row's keys in ascending order (the order breaks ties
-    between pivots).  The rows are consumed.
+    0..k-1, which are consumed.  The result depends only on a.
 
     Returns (orders, rows): coker a is the direct sum of Z/o over the orders
     o >= 2, which need not form a divisibility chain, and the class of x has
@@ -422,10 +426,10 @@ def _cokernel_rows(rows: dict) -> tuple:
     small integers, gives D = +-tau, tau = |det R| = |coker R|, and by
     fraction-free back substitution integer rows y_i with y_i R = D c_i^T
     (the way Eberly, Giesbrecht and Villard read the largest invariant
-    factor off solves).  So every y = y_1 + lam * y_2 maps the columns of
-    R to 0 mod tau; over lam in range(_LAMBDAS) the y of least
-    g = gcd(y, tau) is kept.  tau = tau1 * tau2, where repeated gcds divide
-    every prime of g out of tau to leave tau1; nothing is factored.
+    factor off solves).  So y_1 and y_1 + y_2 both map the columns of R to
+    0 mod tau, and the one of least g = gcd(y, tau) is kept, y_1 on a tie.
+    tau = tau1 * tau2, where repeated gcds divide every prime of g out of
+    tau to leave tau1; nothing is factored.
     - x -> y . x mod tau1 kills the columns of R and is onto Z/tau1, since
       g is prime to tau1, and the tau1-primary part of coker R has order
       tau1: that part is Z/tau1, with coordinate row y.
@@ -444,26 +448,24 @@ def _cokernel_rows(rows: dict) -> tuple:
     off at row p, its row over R for a factor of R.  Its coordinate row,
     start E_t ... E_1 mod its order, is replayed by _replay_exact.
     """
-    pivots, sources, top = _split_exact(rows)
+    pivots, sources, block = _split_exact(rows)
     # column operations cleared the rest of each pivot row p
     factors = [(least, {p: 1}) for p, least in pivots if least > 1]
-    left = sorted(rows)
+    left = list(block)
     r = len(left)
     if r:
         # R^T y_i = D c_i, so y_i R = D c_i^T with D = +-tau
         fixed = _fixed_columns(r)
         det, (y1, y2) = _solve_rows(
-            [[rows[i].get(j, 0) for i in left] + [c[l] for c in fixed] for l, j in enumerate(top)]
+            [list(column) + [c[l] for c in fixed] for l, column in enumerate(zip(*block.values()))]
         )
         tau = abs(det)
         y, g = y1, math.gcd(tau, *y1)
-        for lam in range(1, _LAMBDAS):
-            if g == 1:
-                break
-            candidate = [a + lam * b for a, b in zip(y1, y2)]
-            h = math.gcd(tau, *candidate)
+        if g > 1:
+            y12 = [a + b for a, b in zip(y1, y2)]
+            h = math.gcd(tau, *y12)
             if h < g:
-                y, g = candidate, h
+                y, g = y12, h
         # tau = tau1 * tau2, tau1 prime to g: y is onto Z/tau1
         tau1 = tau
         d = math.gcd(tau1, g)
@@ -474,8 +476,8 @@ def _cokernel_rows(rows: dict) -> tuple:
         residual = []  # (order, coordinate row over the residual rows)
         if tau2 > 1:
             m = [
-                [rows[i].get(j, 0) % tau2 for j in top] + [int(l == c) for c in range(r)]
-                for l, i in enumerate(left)
+                [x % tau2 for x in row] + [int(l == c) for c in range(r)]
+                for l, row in enumerate(block.values())
             ]
             for p, pivot in _diagonalize_mod(m, tau2, r):
                 order = math.gcd(pivot, tau2)
@@ -496,10 +498,6 @@ def _cokernel_rows(rows: dict) -> tuple:
     popped = [p for p, _ in pivots] + left
     orders = tuple(order for order, _ in factors)
     return orders, tuple(_replay_exact(start, sources, popped, order) for order, start in factors)
-
-
-# y_1 + lam * y_2 for lam in range(_LAMBDAS) on the residual's two solutions
-_LAMBDAS = 12
 
 
 def _fixed_columns(r: int) -> tuple:

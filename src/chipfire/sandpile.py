@@ -162,11 +162,10 @@ def _sparse_laplacian(g: Graph, shift: int = 0) -> dict:
 
 def _reduced_rows(g: Graph, shift: int = 0) -> dict:
     """The sparse rows of L + shift*I with vertex 0 deleted, so vertex v is
-    index v - 1, each row's keys in ascending order, the tie order that the
-    Pic0 kernel takes."""
+    index v - 1."""
     rows = _sparse_laplacian(g, shift)
     del rows[0]
-    return {v - 1: {w - 1: row[w] for w in sorted(row) if w} for v, row in rows.items()}
+    return {v - 1: {w - 1: a for w, a in row.items() if w} for v, row in rows.items()}
 
 
 def _dense_laplacian(g: Graph, shift: int = 0) -> list:

@@ -305,8 +305,7 @@ def diagonalize_mod_xgcd(m: list, n: int, width: int = None) -> tuple:
 def cokernel_rows_witnessed(rows: dict) -> tuple:
     """Orders and coordinate rows of coker a, for a nonsingular k x k matrix a
     given as sparse rows {i: {j: a_ij}} of its nonzero entries, i and j in
-    0..k-1, each row's keys in ascending order (the order breaks ties
-    between pivots).  The rows are consumed.
+    0..k-1, which are consumed.
 
     Returns (orders, rows): coker a is the direct sum of Z/o over the orders
     o >= 2, which need not form a divisibility chain, and the class of x has
@@ -334,8 +333,8 @@ def cokernel_rows_witnessed(rows: dict) -> tuple:
             cols[j].add(i)
     u_rows = {i: {i: 1} for i in range(k)}
 
-    # shortest row first, then its pivot in the shortest column; a row is
-    # queued again whenever an elimination changes it
+    # shortest row first, then its pivot in the shortest column, ties to
+    # the least index; a row is queued again whenever an elimination changes it
     orders, out = [], []
     queue = [(len(row), i) for i, row in rows.items()]
     heapq.heapify(queue)
@@ -353,7 +352,7 @@ def cokernel_rows_witnessed(rows: dict) -> tuple:
         ]
         if not candidates:
             continue
-        q = min(candidates, key=lambda j: len(cols[j]))
+        q = min(candidates, key=lambda j: (len(cols[j]), j))
         prow, pu = rows.pop(p), u_rows.pop(p)
         pivot = prow.pop(q)
         for j in prow:

@@ -162,13 +162,18 @@ def cli_results(g, argvs):
 
 
 class TestConeCommandAgainstExplicitCone:
-    """``cone FILE N`` and ``group FILE --cone N`` give the result of
-    ``group`` on the file of the built cone, disconnected bases included."""
+    """``cone FILE N``, ``group FILE --cone N`` and the one-file
+    ``join FILE --cone N`` give the result of ``group`` on the file of the
+    built cone, disconnected bases included."""
 
     @staticmethod
     def check(g, n):
         expected = oracles.group_result(cone(g, n))
-        argvs = [["cone", "{}", str(n)], ["group", "{}", "--cone", str(n)]]
+        argvs = [
+            ["cone", "{}", str(n)],
+            ["group", "{}", "--cone", str(n)],
+            ["join", "{}", "--cone", str(n)],
+        ]
         for result in cli_results(g, argvs):
             assert result == expected
 

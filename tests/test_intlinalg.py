@@ -401,6 +401,10 @@ class TestCokernelModDeterminant:
             return {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(a)}
 
         orders, rows = intlinalg._cokernel_rows(sparse_rows())
+        # the presentation depends only on a: the rows in reverse order,
+        # each with its keys reversed, give the same orders and rows
+        reordered = {i: dict(reversed(row.items())) for i, row in reversed(sparse_rows().items())}
+        assert intlinalg._cokernel_rows(reordered) == (orders, rows)
         # coordinate rows are not unique, so the witnessed kernel is matched
         # on the group, and the rows are checked to present it
         witnessed, _ = oracles.cokernel_rows_witnessed(sparse_rows())

@@ -30,7 +30,7 @@ from typing import Iterable, List, Optional, Sequence
 
 from .errors import InputError, NotConnectedError, SizeError
 from .graphs import Graph, _check_cone_size, _check_vertex_count, cone, join, read_edge_list
-from .intlinalg import _decimal
+from .intlinalg import _decimal, _poly_str
 from .sandpile import _cone_char_poly, _cone_groups, critical_group
 from .theorems import (
     ConeSequenceReport,
@@ -148,6 +148,7 @@ def _cone_result(g: Graph, n: int) -> dict:
     # critical_group checks that g is connected, so P needs no second check
     group = _cone_groups(g, n)[0] if n else critical_group(g)
     poly = _cone_char_poly(g, n)
+    coefficients = _decimals(poly.coefficients)
     return {
         "vertices": k + n,
         "edges": g.edge_count + k * n + n * (n - 1) // 2,
@@ -155,8 +156,8 @@ def _cone_result(g: Graph, n: int) -> dict:
         "group": str(group),
         "order": _decimal(group.order),
         "spanning_trees": _decimal(abs(poly.coefficients[0]) // (k + n)),  # |P(0)| = (k + n) * tau
-        "char_poly": _decimals(poly.coefficients),
-        "char_poly_str": str(poly),
+        "char_poly": coefficients,
+        "char_poly_str": _poly_str(coefficients),
     }
 
 

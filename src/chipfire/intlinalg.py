@@ -51,7 +51,6 @@ __all__ = [
     "determinant",
     "char_poly",
     "poly_eval",
-    "poly_divide_by_x",
 ]
 
 
@@ -129,20 +128,6 @@ class IntMatrix:
     def __iter__(self):
         return iter(self._data)
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise InputError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        if other.rows:
-            cols = list(zip(*other._data))
-        else:
-            cols = [()] * other.cols
-        data = [
-            sum(a * b for a, b in zip(row, col)) for row in self._data for col in cols
-        ]
-        return IntMatrix(self.rows, other.cols, data)
-
     def __repr__(self):
         if not self.rows:  # from_rows([]) would lose the column count
             return f"IntMatrix(0, {self.cols}, [])"
@@ -174,25 +159,27 @@ class IntPoly:
         return f"IntPoly({_list_repr(self.coefficients)})"
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        terms = []
-        for power in range(self.degree, -1, -1):
-            c = self.coefficients[power]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if power == 0:
-                body = _decimal(mag)
-            else:
-                x = "x" if power == 1 else f"x^{power}"
-                body = x if mag == 1 else f"{_decimal(mag)}*{x}"
-            if not terms:
-                terms.append(body if c > 0 else f"-{body}")
-            else:
-                terms.append(f" {sign} {body}")
-        return "".join(terms)
+        return _poly_str([_decimal(c) for c in self.coefficients])
+
+
+def _poly_str(digits: Sequence[str]) -> str:
+    """The text of a polynomial, highest power first, from the decimal
+    strings of its ascending coefficients, the last one nonzero."""
+    terms = []
+    for power in range(len(digits) - 1, -1, -1):
+        d = digits[power]
+        if d == "0":
+            continue
+        negative = d[0] == "-"
+        body = d[1:] if negative else d
+        if power:
+            x = "x" if power == 1 else f"x^{power}"
+            body = x if body == "1" else f"{body}*{x}"
+        if terms:
+            terms.append(f" - {body}" if negative else f" + {body}")
+        else:
+            terms.append(f"-{body}" if negative else body)
+    return "".join(terms) or "0"
 
 
 def _xgcd(a: int, b: int) -> tuple:
@@ -889,12 +876,3 @@ def poly_eval(p: IntPoly, x: int) -> int:
     for c in reversed(p.coefficients):
         acc = acc * x + c
     return acc
-
-
-def poly_divide_by_x(p: IntPoly) -> IntPoly:
-    """Exact quotient p / x; requires a zero constant term."""
-    if p.is_zero:
-        return p
-    if p.coefficients[0] != 0:
-        raise InputError("polynomial has a nonzero constant term, not divisible by x")
-    return IntPoly(p.coefficients[1:])

@@ -114,14 +114,6 @@ class CriticalGroup:
         return not self.invariant_factors
 
     @classmethod
-    def from_diagonal(cls, diagonal: Iterable[int]) -> "CriticalGroup":
-        """Cokernel of any nonsingular integer diagonal matrix, in canonical form."""
-        diagonal = list(diagonal)
-        if 0 in diagonal:
-            raise InputError("zero diagonal entry: the quotient group is infinite")
-        return cls.from_cyclic_orders(abs(d) for d in diagonal)
-
-    @classmethod
     def from_cyclic_orders(cls, orders: Iterable[int]) -> "CriticalGroup":
         """Canonicalize a direct sum of cyclic groups of the given orders.  In
         ascending order, each order joins the chain and moves left as
@@ -253,15 +245,7 @@ def _cache_info() -> _CacheInfo:
     return _CacheInfo(_hits, _misses, None, len(_presentations))
 
 
-def _cache_clear() -> None:
-    """Drop every presentation and zero the counters."""
-    global _hits, _misses
-    _presentations.clear()
-    _hits = _misses = 0
-
-
 _reduced_snf.cache_info = _cache_info
-_reduced_snf.cache_clear = _cache_clear
 
 
 def critical_group(g: Graph) -> CriticalGroup:

@@ -255,6 +255,9 @@ def random_tree(rng: random.Random, vertex_count: int) -> Graph:
 
 
 _CONNECTED_DRAW_LIMIT = 1000
+# vertex pairs drawn over all draws: 1000 draws up to 141 vertices, one draw
+# of 4096 vertices (8386560 pairs)
+_CONNECTED_PAIR_LIMIT = 10**7
 
 
 def random_connected_graph(
@@ -262,8 +265,10 @@ def random_connected_graph(
 ) -> Graph:
     """Erdos-Renyi sample, retried until connected.
 
-    Gives up with ``InputError`` after a fixed number of disconnected draws,
-    so an edge probability too small for the vertex count cannot hang.
+    Gives up with ``InputError`` after 1000 disconnected draws, or fewer
+    where those would draw more than ``_CONNECTED_PAIR_LIMIT`` vertex pairs
+    (but at least one), so an edge probability too small for the vertex
+    count cannot hang.
     """
     _check_vertex_count(vertex_count)
     if not isinstance(edge_probability, numbers.Real) or not 0.0 <= edge_probability <= 1.0:
@@ -272,7 +277,9 @@ def random_connected_graph(
         raise InputError(
             f"edge probability 0 never connects {vertex_count} vertices"
         )
-    for _ in range(_CONNECTED_DRAW_LIMIT):
+    pairs = vertex_count * (vertex_count - 1) // 2
+    draws = max(1, min(_CONNECTED_DRAW_LIMIT, _CONNECTED_PAIR_LIMIT // (pairs or 1)))
+    for _ in range(draws):
         edges = [
             (u, v)
             for u in range(vertex_count)
@@ -284,5 +291,5 @@ def random_connected_graph(
             return g
     raise InputError(
         f"no connected graph on {vertex_count} vertices with edge probability "
-        f"{edge_probability} in {_CONNECTED_DRAW_LIMIT} draws"
+        f"{edge_probability} in {draws} draw{'s' * (draws > 1)}"
     )

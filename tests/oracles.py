@@ -1,7 +1,8 @@
 """Reference implementations kept as test oracles.
 
 Each function here is a slower, independent route to a result that the
-library computes another way; tests assert that both agree.
+library computes another way; tests assert that both agree.  Three small
+helpers (matmul, from_diagonal, divide_by_x) serve the checks themselves.
 """
 
 import heapq
@@ -202,6 +203,32 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
         v=IntMatrix(n, n, [x for row in aug[m:] for x in row]),
         diagonal=tuple(aug[i][i] for i in range(limit)),
     )
+
+
+# Helpers that the checks need and the library does not: the product that
+# checks the SNF witnesses, the group of an SNF diagonal, and P = det(xI - L)
+# / x from the Laplacian's characteristic polynomial.
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The product a b."""
+    if a.cols != b.rows:
+        raise InputError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    columns = list(zip(*b)) if b.rows else [()] * b.cols
+    return IntMatrix(a.rows, b.cols, [sum(map(operator.mul, row, col)) for row in a for col in columns])
+
+
+def from_diagonal(diagonal: Iterable[int]) -> CriticalGroup:
+    """Cokernel of a nonsingular integer diagonal matrix, in canonical form;
+    a zero entry is an InputError."""
+    return CriticalGroup.from_cyclic_orders(map(abs, diagonal))
+
+
+def divide_by_x(p: IntPoly) -> IntPoly:
+    """Exact quotient p / x; a nonzero constant term is an InputError."""
+    if p.coefficients and p.coefficients[0]:
+        raise InputError("polynomial has a nonzero constant term, not divisible by x")
+    return IntPoly(p.coefficients[1:])
 
 
 # The library's earlier diagonalization mod n: an inverse for every unit
@@ -554,7 +581,7 @@ def quotient_by_classes(g: Graph, generators: Iterable[Sequence[int]]) -> Critic
     if not rows:  # single-vertex graph: Pic0 is trivial
         return CriticalGroup()
     snf = smith_normal_form(IntMatrix.from_rows(rows))
-    return CriticalGroup.from_diagonal(snf.diagonal)
+    return from_diagonal(snf.diagonal)
 
 
 def subgroup_invariants(g: Graph, generators: Iterable[Sequence[int]]) -> CriticalGroup:
@@ -583,7 +610,7 @@ def subgroup_invariants(g: Graph, generators: Iterable[Sequence[int]]) -> Critic
     relations = smith_normal_form(IntMatrix.from_rows(relation_rows))
     if any(d == 0 for d in relations.diagonal) or len(relations.diagonal) < r:
         raise AssertionError("relation lattice of finite classes must have full rank")
-    return CriticalGroup.from_diagonal(relations.diagonal)
+    return from_diagonal(relations.diagonal)
 
 
 class _UnionFind:

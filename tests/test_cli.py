@@ -28,9 +28,9 @@ from chipfire import (
     reduced_laplacian,
     spanning_tree_count,
 )
-from chipfire import cli, sandpile
+from chipfire import cli, intlinalg, sandpile
 from chipfire.cli import main
-from oracles import smith_normal_form
+from oracles import from_diagonal, smith_normal_form
 
 GOEL = Graph(6, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
 FORK_TREE = Graph(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
@@ -97,7 +97,7 @@ class TestGroupCommand:
         factors = run_json(["group", goel])[1][0]["result"]["invariant_factors"]
         for v in range(GOEL.vertex_count):
             direct = smith_normal_form(reduced_laplacian(GOEL, v)).diagonal
-            group = CriticalGroup.from_diagonal(direct)
+            group = from_diagonal(direct)
             assert factors == [str(d) for d in group.invariant_factors]
 
     def test_remove_vertex_flag_is_rejected(self, graph_file):
@@ -192,6 +192,20 @@ class TestVerifyCommand:
         assert result["subgroup_is_expected"] is True
         assert result["splits"] is False
         assert result["pic0_factors"] == ["144", "8208"]
+
+    def test_cone_flag_verifies_the_built_cone(self, graph_file):
+        # --cone M builds cone(g, M) and verifies it as the base; it is the
+        # (M + 2)-cone over P5, so its 2 new cone vertices split off Z/10
+        p5 = graph_file("p5.txt", path(5))
+        built = graph_file("cone3.txt", cone(path(5), 3))
+        code, records = run_json(["verify", "cone", p5, "-n", "2", "--cone", "3"])
+        assert code == 0
+        result = records[0]["result"]
+        assert result == run_json(["verify", "cone", built, "-n", "2"])[1][0]["result"]
+        assert result["base_vertices"] == 8
+        assert result["subgroup_factors"] == ["10"]
+        assert result["quotient_factors"] == ["10", "10", "22550"]
+        assert result["splits"] is True
 
     def test_tree_verification(self, graph_file):
         tree = graph_file("tree.txt", FORK_TREE)
@@ -566,6 +580,25 @@ class TestRegressions:
         assert cone_result["p_at_minus_n"] == digits
         join_result = cli._join_report_result(JoinOrderReport((2, 3), 5, big, -big, False))
         assert (join_result["lhs"], join_result["rhs"]) == (digits, "-" + digits)
+
+    def test_each_number_is_converted_to_decimal_once(self, graph_file, monkeypatch):
+        # char_poly_str is written from the decimal strings of char_poly
+        converted = []
+
+        def spy(x):
+            converted.append(x)
+            return str(x)
+
+        monkeypatch.setattr(cli, "_decimal", spy)
+        monkeypatch.setattr(intlinalg, "_decimal", spy)
+        p5 = graph_file("p5.txt", path(5))
+        for argv in (["group", p5], ["cone", p5, "16"], ["group", p5, "--cone", "4"]):
+            converted.clear()
+            code, records = run_json(argv)
+            assert code == 0
+            result = records[0]["result"]
+            numbers = result["char_poly"] + result["invariant_factors"] + [result["order"], result["spanning_trees"]]
+            assert sorted(converted) == sorted(map(int, numbers))
 
     def test_parser_is_built_once_per_process(self, graph_file, monkeypatch):
         p5 = graph_file("p5.txt", path(5))

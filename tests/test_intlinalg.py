@@ -24,7 +24,6 @@ from chipfire import (
     intlinalg,
     laplacian,
     path,
-    poly_divide_by_x,
     poly_eval,
     random_connected_graph,
     reduced_laplacian,
@@ -76,18 +75,20 @@ class TestIntMatrix:
         with pytest.raises(InputError):
             IntMatrix.from_rows([[1, 2], [3]])
 
+    # the product of the SNF witness checks: IntMatrix has none
     def test_matmul_and_identity(self):
         a = IntMatrix.from_rows([[1, 2], [3, 4]])
         one = IntMatrix.from_rows([[1, 0], [0, 1]])
-        assert one @ a == a
-        assert a @ one == a
+        assert oracles.matmul(one, a) == a
+        assert oracles.matmul(a, one) == a
 
     def test_matmul_shapes(self):
         a = IntMatrix.from_rows([[1, 2, 3]])
         b = IntMatrix.from_rows([[1], [0], [-1]])
-        assert a @ b == IntMatrix.from_rows([[-2]])
+        assert oracles.matmul(a, b) == IntMatrix.from_rows([[-2]])
+        assert oracles.matmul(IntMatrix(2, 0, []), IntMatrix(0, 3, [])) == IntMatrix(2, 3, [0] * 6)
         with pytest.raises(InputError):
-            b @ b
+            oracles.matmul(b, b)
 
     def test_immutability(self):
         a = IntMatrix.from_rows([[1, 0], [0, 1]])
@@ -138,7 +139,7 @@ class TestDecimal:
 
 def assert_smith_form(a):
     result = smith_normal_form(a)
-    assert result.u @ a @ result.v == result.s
+    assert oracles.matmul(oracles.matmul(result.u, a), result.v) == result.s
     assert abs(determinant(result.u)) == 1
     assert abs(determinant(result.v)) == 1
     diag = result.diagonal
@@ -409,7 +410,7 @@ class TestCokernelModDeterminant:
         # on the group, and the rows are checked to present it
         witnessed, _ = oracles.cokernel_rows_witnessed(sparse_rows())
         assert CriticalGroup.from_cyclic_orders(orders) == CriticalGroup.from_cyclic_orders(witnessed)
-        assert CriticalGroup.from_cyclic_orders(orders) == CriticalGroup.from_diagonal(
+        assert CriticalGroup.from_cyclic_orders(orders) == oracles.from_diagonal(
             smith_normal_form(a).diagonal
         )
         oracles.assert_presents_cokernel(a.to_rows(), orders, rows)
@@ -465,7 +466,7 @@ class TestCokernelModDeterminant:
             # pivot d and an entry b; none is on an entry that d divides
             assert not [(d, b) for d, b in steps if b % d == 0]
             assert CriticalGroup.from_cyclic_orders(math.gcd(p, n) for _, p in pivots) == (
-                CriticalGroup.from_diagonal(smith_normal_form(a).diagonal)
+                oracles.from_diagonal(smith_normal_form(a).diagonal)
             )
 
     def test_pivots_that_divide_their_row_and_column_split_exactly(self, monkeypatch):
@@ -477,7 +478,6 @@ class TestCokernelModDeterminant:
         # of 5 by one entry, so no residual block and no determinant is left
         self.assert_presents_cokernel(reduced_laplacian(complete(5), 0))
         monkeypatch.setattr(intlinalg, "determinant", None)
-        sandpile._reduced_snf.cache_clear()
         assert sandpile._reduced_snf(complete(5)).factors == (5, 5, 5)
 
     def test_pivot_must_divide_its_column(self):
@@ -511,7 +511,7 @@ class TestCokernelModDeterminant:
                 {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(a)}
             )
             assert len(orders) == len(starts) == factors
-            assert CriticalGroup.from_cyclic_orders(orders) == CriticalGroup.from_diagonal(
+            assert CriticalGroup.from_cyclic_orders(orders) == oracles.from_diagonal(
                 smith_normal_form(a).diagonal
             )
 
@@ -619,7 +619,7 @@ class TestDiagonalizeMod:
         pivots = intlinalg._diagonalize_mod([list(row) for row in m], n)
         assert sorted(i for i, _ in pivots) == list(range(r))
         orders = [math.gcd(p, n) for _, p in pivots]
-        assert CriticalGroup.from_cyclic_orders(orders) == CriticalGroup.from_diagonal(diagonal)
+        assert CriticalGroup.from_cyclic_orders(orders) == oracles.from_diagonal(diagonal)
         assert CriticalGroup.from_cyclic_orders(n // o for o in orders) == (
             CriticalGroup.from_cyclic_orders(n // abs(d) for d in diagonal)
         )
@@ -682,7 +682,6 @@ class TestResidualSplit:
         # rows: seed 3 finishes only a small tau2, seed 4 nothing at all
         taus, moduli = self.spy(monkeypatch)
         g = random_connected_graph(random.Random(seed), 40, 0.3)
-        sandpile._reduced_snf.cache_clear()
         group = sandpile.critical_group(g)
         assert len(group.invariant_factors) == 1
         assert taus == [group.order]
@@ -1055,12 +1054,13 @@ class TestPolyOps:
         p = IntPoly([64, -48, 12, -1])
         assert poly_eval(p, 0) == 64
 
+    # the division of the P = det(xI - L) / x checks: the library has none
     def test_divide_by_x(self):
-        assert poly_divide_by_x(IntPoly([0, -2, 1])) == IntPoly([-2, 1])
+        assert oracles.divide_by_x(IntPoly([0, -2, 1])) == IntPoly([-2, 1])
 
     def test_divide_by_x_zero_poly(self):
-        assert poly_divide_by_x(IntPoly([])) == IntPoly([])
+        assert oracles.divide_by_x(IntPoly([])) == IntPoly([])
 
     def test_divide_by_x_rejects_constant_term(self):
         with pytest.raises(InputError):
-            poly_divide_by_x(IntPoly([1, 1]))
+            oracles.divide_by_x(IntPoly([1, 1]))

@@ -28,7 +28,6 @@ from chipfire import (
     join,
     laplacian,
     path,
-    poly_divide_by_x,
     poly_eval,
     quotient_by_classes,
     random_connected_graph,
@@ -64,7 +63,7 @@ def all_connected_labeled_graphs(max_vertices):
 def restricted_char_value_by_poly(g, x):
     """P(x) through the whole characteristic polynomial, the oracle for the
     single-determinant value |P(x)| the verifiers use."""
-    return poly_eval(poly_divide_by_x(char_poly(laplacian(g))), x)
+    return poly_eval(oracles.divide_by_x(char_poly(laplacian(g))), x)
 
 
 @st.composite
@@ -203,6 +202,19 @@ class TestVerifyConeTheorem:
                 assert report.holds
                 assert report.pic0.order == report.subgroup.order * report.quotient_h.order
 
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(max_vertices=7), st.integers(1, 4), st.integers(1, 4))
+    def test_iterated_cone_splits(self, g, m, n):
+        # cone(cone(g, M), N) is the (M + N)-cone over g, and its N new cone
+        # vertices are part of the twin basis of that cone: their
+        # differences span a direct summand (Z/lam)^(N - 1), lam = k + M + N,
+        # so H = (Z/lam)^(M - 1) + coker M'_(M + N) and the sequence splits
+        lam = g.vertex_count + m + n
+        report = verify_cone_theorem(cone(g, m), n)
+        factors, _ = intlinalg._cokernel_rows(sandpile._cone_rows(g, m + n))
+        assert report.holds and report.splits
+        assert report.quotient_h == CriticalGroup.from_cyclic_orders([lam] * (m - 1) + list(factors))
+
     def test_disconnected_base_rejected(self):
         with pytest.raises(NotConnectedError):
             verify_cone_theorem(Graph(2), 2)
@@ -332,7 +344,7 @@ class TestJoinCharPoly:
     @given(graphs(max_vertices=6), graphs(max_vertices=6))
     def test_product_of_shifted_factors(self, g1, g2):
         k1, k2 = g1.vertex_count, g2.vertex_count
-        q1, q2 = (poly_divide_by_x(char_poly(laplacian(g))).coefficients for g in (g1, g2))
+        q1, q2 = (oracles.divide_by_x(char_poly(laplacian(g))).coefficients for g in (g1, g2))
         outer = poly_times([0, 1], [-(k1 + k2), 1])
         expected = poly_times(outer, poly_times(poly_shift(q1, k2), poly_shift(q2, k1)))
         assert char_poly(laplacian(join(g1, g2))).coefficients == tuple(expected)
@@ -539,6 +551,25 @@ class TestRandomGenerators:
     def test_random_connected_graph_gives_up_after_capped_draws(self):
         with pytest.raises(InputError, match=r"2 vertices with edge probability 1e-12"):
             random_connected_graph(random.Random(1), 2, 1e-12)
+
+    def test_random_connected_graph_bounds_the_pairs_it_draws(self):
+        class Counting(random.Random):
+            calls = 0
+
+            def random(self):
+                self.calls += 1
+                return super().random()
+
+        # every size that verify --sample draws keeps its 1000 draws
+        rng = Counting(0)
+        with pytest.raises(InputError, match="in 1000 draws"):
+            random_connected_graph(rng, 7, 1e-5)
+        assert rng.calls == 1000 * 21
+        # 4096 vertices: one draw, within the pair bound, not 1000
+        rng = Counting(0)
+        with pytest.raises(InputError, match="in 1 draw$"):
+            random_connected_graph(rng, 4096, 1e-5)
+        assert rng.calls == 4096 * 4095 // 2 <= theorems._CONNECTED_PAIR_LIMIT
 
     @pytest.mark.parametrize(
         "draw",

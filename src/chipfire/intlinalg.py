@@ -10,11 +10,20 @@ the coefficient of x^(m-j) is a signed sum of j x j principal minors and
 Hadamard's inequality bounds each of them.  The lane runs on a - sI, with
 s = trace // m, whenever that matrix has the narrower bound (on a Laplacian
 the diagonal dominates every row), and an exact Taylor shift x -> x - s over
-Z takes its polynomial back to det(xI - a).  Similarity transforms and the
-Hessenberg recurrence are identities over any commutative ring, and in
-Z/2**e the pivot of least 2-adic valuation divides every entry of its
-column, so the reduction mod 2**e is exact for every matrix.  Up to a
-crossover of e, each column is packed into one int of wide slots, so a row
+Z takes its polynomial back to det(xI - a).  A symmetric a, such as every
+L + nI the Laplacian routes hand over, has real eigenvalues, and for those
+two traces give a second bound, S = (1 + (2|p1| + p2)/m)^(m/2) on a - rI
+with r the integer nearest trace / m, p1 = trace(a - rI) and p2 the sum of
+the squares of the entries of a - rI: each coefficient is +-e_j(mu), the
+z^j coefficient of prod_i (1 + mu_i z) over the eigenvalues mu of a - rI,
+and on |z| = 1, |1 + mu_i z|^2 = 1 + 2 mu_i cos(t) + mu_i^2, so Cauchy's
+estimate and AM-GM bound it by S.  The lane takes the narrowest modulus,
+with its own shift, and only symmetric input takes S.  Similarity
+transforms and the Hessenberg recurrence are identities over any
+commutative ring, and in Z/2**e the pivot of least 2-adic valuation
+divides every entry of its column, so the reduction mod 2**e is exact for
+every matrix.  Up to a crossover of e, each column is packed into one int
+of wide slots, so a row
 elimination costs one big-int product per column and the interpreter loops
 over columns instead of entries; up to the same crossover, the recurrence
 packs each polynomial the same way.  A private kernel presents the cokernel
@@ -750,7 +759,28 @@ def char_poly(a: IntMatrix) -> IntPoly:
     diagonal dominates: row v has norm sqrt(d_v^2 + d_v), and about
     sqrt(d_v) after subtracting the mean degree, so dense G(40, 0.3) goes
     from about 150 to 102 bits and a cycle from 2m + 2 to about 1.59m.
-    Below, e is always the modulus the lanes receive, the narrower one.
+
+    A symmetric a has real eigenvalues, and for those two traces bound the
+    coefficients more tightly.  With r the integer nearest trace / m,
+    p1 = trace - m r and p2 = trace((a - rI)^2), the sum of the squares of
+    the entries of a - rI, every coefficient of det(yI - (a - rI)) is at
+    most S = (1 + (2|p1| + p2)/m)^(m/2):
+    - it is +-e_j(mu) for the real eigenvalues mu of a - rI, the z^j
+      coefficient of prod_i (1 + mu_i z);
+    - on |z| = 1, |1 + mu_i z|^2 = 1 + 2 mu_i cos(t) + mu_i^2, so Cauchy's
+      estimate and AM-GM bound it by S.
+    The coefficients are integers, so each is at most
+    isqrt(ceil(N^m / m^m)) with N = m + 2|p1| + p2, and the lane runs on
+    a - rI when that modulus is narrower than the one above.  Checking
+    that row i equals column i costs O(m^2) comparisons, and a matrix that
+    is not symmetric keeps the Hadamard modulus.  Every L + nI that the
+    Laplacian routes hand over is symmetric: dense G(40, 0.3) goes from
+    about 102 to 89 bits, the sparse 40-vertex trees plus 4 chords from 69
+    to 49, and a cycle or a path from about 1.59m to 0.79m.  A star keeps
+    the Hadamard modulus, since its hub's eigenvalue m sits far from the
+    mean degree.  Below, e is always the modulus the lanes receive, the
+    narrowest one; the e in the two tables are the moduli the centered
+    Hadamard bound gave those inputs before S was added.
 
     The reduction runs in one of two forms with the same pivots and the
     same entries.  For e <= _PACKED_MAX_BITS, column c is one int C_c of m
@@ -839,26 +869,52 @@ def _ceil_norm(squares: int) -> int:
 def _char_poly_rows(rows: list) -> IntPoly:
     """char_poly of the square matrix given as its rows, which are consumed.
 
-    With s = trace // m, the bound B' of a - sI differs from B only in the
-    diagonal term of each row's sum of squares; when its modulus is
-    narrower, the lane runs on a - sI and P(x) = Q(x - s) follows from a
-    Taylor shift over Z.
+    Up to three moduli, the narrowest taken, ties to the earlier: the
+    Hadamard bound B of a; with s = trace // m, the bound B' of a - sI,
+    which differs from B only in the diagonal term of each row's sum of
+    squares; and for a symmetric a, whose eigenvalues are real, the bound
+    S of a - rI, r the integer nearest trace / m.  The lane runs on a
+    minus the chosen shift, and P(x) = Q(x - shift) follows from a Taylor
+    shift over Z.
+
+    S is (1 + (2|p1| + p2)/m)^(m/2) with p1 = trace(a - rI) and
+    p2 = trace((a - rI)^2), for a symmetric a the sum of the squares of
+    the entries of a - rI.  Each coefficient of det(yI - (a - rI)) is
+    +-e_j(mu), the z^j coefficient of prod_i (1 + mu_i z) over the real
+    eigenvalues mu of a - rI, and on |z| = 1,
+    |1 + mu_i z|^2 = 1 + 2 mu_i cos(t) + mu_i^2, so Cauchy's estimate and
+    AM-GM bound it by S.  The coefficients are integers, so each is at most
+    isqrt(ceil(N^m / m^m)) with N = m + 2|p1| + p2.  A matrix that is not
+    symmetric never takes S.
     """
     m = len(rows)
-    s = sum(row[i] for i, row in enumerate(rows)) // m if m else 0
+    trace = sum(row[i] for i, row in enumerate(rows))
+    s = trace // m if m else 0
+    symmetric = m and all(tuple(row) == column for row, column in zip(rows, zip(*rows)))
     bound = centered = 1
+    total = 0  # the sum of the squares of all entries
     for i, row in enumerate(rows):
         squares = sum(x * x for x in row)
+        total += squares
         d = row[i]
         bound *= 1 + _ceil_norm(squares)
         centered *= 1 + _ceil_norm(squares - d * d + (d - s) * (d - s))
     e, narrower = (2 * bound).bit_length(), (2 * centered).bit_length()
     if narrower < e:
         e = narrower
-        for i, row in enumerate(rows):
-            row[i] -= s
     else:
         s = 0
+    if symmetric:
+        r = (2 * trace + m) // (2 * m)
+        p1 = trace - m * r
+        p2 = total - 2 * r * trace + m * r * r  # (d - r)^2 in place of each d^2
+        n = m + 2 * abs(p1) + p2
+        real = (2 * math.isqrt(-(-(n**m) // m**m))).bit_length()
+        if real < e:
+            e, s = real, r
+    if s:
+        for i, row in enumerate(rows):
+            row[i] -= s
     modulus = 1 << e
     q = [c - modulus if 2 * c >= modulus else c for c in _char_poly_mod(rows, e)]
     if s:  # q(y) = det(yI - (a - sI)); P(x) = q(x - s)

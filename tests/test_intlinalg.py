@@ -3,6 +3,7 @@
 import contextlib
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -744,36 +745,81 @@ def hadamard_bits(a):
     return (2 * bound).bit_length()
 
 
-def centered_rows(a):
-    """(rows, s): the rows of a - sI with s = trace(a) // m when their
-    Hadamard modulus is narrower than a's, else the rows of a and s = 0."""
+def shifted_rows(a, s):
+    """The rows of a - sI."""
+    return [[x - s if i == j else x for j, x in enumerate(row)] for i, row in enumerate(a)]
+
+
+def hadamard_lane(a):
+    """(e, s) from the Hadamard bound alone: the modulus of a - sI with
+    s = trace(a) // m when it is narrower than a's, else a's and s = 0."""
     m = a.rows
     s = sum(a[i, i] for i in range(m)) // m if m else 0
-    rows = [[x - s if i == j else x for j, x in enumerate(row)] for i, row in enumerate(a)]
-    if hadamard_bits(rows) < hadamard_bits(a):
-        return rows, s
-    return a.to_rows(), 0
+    e, centered = hadamard_bits(a), hadamard_bits(shifted_rows(a, s))
+    return (centered, s) if centered < e else (e, 0)
+
+
+def real_eigenvalue_bits(a, r):
+    """e = (2S).bit_length() for S = isqrt(ceil(N**m / m**m)), the bound on
+    the coefficients of det(yI - (a - rI)) for a symmetric a of m >= 1
+    rows: N = m + 2|p1| + p2 with p1 and p2 the traces of a - rI and of its
+    square."""
+    m = a.rows
+    b = shifted_rows(a, r)
+    p1 = sum(b[i][i] for i in range(m))
+    p2 = sum(b[i][j] * b[j][i] for i in range(m) for j in range(m))
+    n = m + 2 * abs(p1) + p2
+    return (2 * math.isqrt(math.ceil(Fraction(n, m) ** m))).bit_length()
+
+
+def lane(a):
+    """(e, s), the modulus and the shift char_poly gives its lane: the
+    Hadamard lane, unless a is symmetric and the real-eigenvalue modulus
+    at r, the integer nearest trace(a) / m, is narrower; then (that, r)."""
+    e, s = hadamard_lane(a)
+    m = a.rows
+    if m and all(a[i, j] == a[j, i] for i in range(m) for j in range(i)):
+        r = math.floor(Fraction(sum(a[i, i] for i in range(m)), m) + Fraction(1, 2))
+        real = real_eigenvalue_bits(a, r)
+        if real < e:
+            return real, r
+    return e, s
+
+
+def centered_rows(a):
+    """(rows, s): the rows of a - sI that char_poly's lane runs on, and s."""
+    s = lane(a)[1]
+    return shifted_rows(a, s), s
 
 
 def modulus_bits(a):
-    """The e that char_poly passes to _char_poly_mod: the Hadamard modulus
-    of the centered rows."""
-    return hadamard_bits(centered_rows(a)[0])
+    """The e that char_poly passes to _char_poly_mod."""
+    return lane(a)[0]
 
 
 @contextlib.contextmanager
-def recorded_lanes():
-    """Records the exponent e of every call of intlinalg._char_poly_mod."""
+def recorded_lanes(keep_rows=False):
+    """Records the exponent e of every call of intlinalg._char_poly_mod, or
+    (rows, e) with a copy of the rows it receives when keep_rows is set."""
     calls = []
     real = intlinalg._char_poly_mod
 
     def spy(rows, e):
-        calls.append(e)
+        calls.append(([list(row) for row in rows], e) if keep_rows else e)
         return real(rows, e)
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(intlinalg, "_char_poly_mod", spy)
         yield calls
+
+
+# small ints mixed with +-2**t and +-3 * 2**t
+entries_rich_in_powers_of_two = st.one_of(
+    st.integers(-3, 3),
+    st.tuples(st.sampled_from((1, -1, 3, -3)), st.integers(min_value=0, max_value=80)).map(
+        lambda ct: ct[0] << ct[1]
+    ),
+)
 
 
 @st.composite
@@ -782,12 +828,8 @@ def matrices_rich_in_powers_of_two(draw):
     +-3 * 2**t, so that pivots are often even and the entry of least 2-adic
     valuation is often not the first nonzero one."""
     m = draw(st.integers(min_value=0, max_value=8))
-    t = st.integers(min_value=0, max_value=80)
-    entry = st.one_of(
-        st.integers(-3, 3),
-        st.tuples(st.sampled_from((1, -1, 3, -3)), t).map(lambda ct: ct[0] << ct[1]),
-    )
-    return IntMatrix(m, m, draw(st.lists(entry, min_size=m * m, max_size=m * m)))
+    entries = st.lists(entries_rich_in_powers_of_two, min_size=m * m, max_size=m * m)
+    return IntMatrix(m, m, draw(entries))
 
 
 class TestCharPolyOneLane:
@@ -834,7 +876,9 @@ def scaled_identities_plus_noise(draw):
 
 class TestCenteredModulus:
     """char_poly runs its lane on a - sI, s = trace(a) // m, when that
-    narrows the Hadamard modulus, and shifts the result back by x -> x - s."""
+    narrows the Hadamard modulus, or s the integer nearest trace(a) / m
+    when a is symmetric and the real-eigenvalue modulus is narrower still,
+    and shifts the result back by x -> x - s."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -849,7 +893,7 @@ class TestCenteredModulus:
         with recorded_lanes() as calls:
             char_poly(a)
         assert calls == [modulus_bits(a)]
-        assert calls[0] <= hadamard_bits(a)
+        assert calls[0] <= hadamard_lane(a)[0] <= hadamard_bits(a)
 
     @settings(max_examples=100, deadline=None)
     @given(scaled_identities_plus_noise())
@@ -871,14 +915,72 @@ class TestCenteredModulus:
 
     def test_a_graph_laplacian_centers_on_its_mean_degree(self):
         # K_40 - 39 I has zero diagonal: 40 rows of norm sqrt(39), against
-        # sqrt(39**2 + 39) uncentered
+        # sqrt(39**2 + 39) uncentered; its eigenvalues are real, with
+        # p1 = 0 and p2 = 40 * 39, so S = (1 + 39)**20 is narrower still
         a = laplacian(complete(40))
         rows, s = centered_rows(a)
         assert s == 39 and all(row[i] == 0 for i, row in enumerate(rows))
-        assert (modulus_bits(a), hadamard_bits(a)) == (122, 216)
+        assert (modulus_bits(a), hadamard_lane(a), hadamard_bits(a)) == (108, (122, 39), 216)
         with recorded_lanes() as calls:
             assert char_poly(a) == oracles.char_poly(a)
-        assert calls == [122]
+        assert calls == [108]
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric 0-8 matrices: entries in -9..9, entries mixed with
+    +-2**t and +-3 * 2**t, or c * I plus symmetric noise in -3..3 with c up
+    to +-2**200."""
+    m = draw(st.integers(min_value=0, max_value=8))
+    kind = draw(st.sampled_from(("small", "powers", "scaled")))
+    entry = {"small": small_entries, "powers": entries_rich_in_powers_of_two}.get(kind, st.integers(-3, 3))
+    c = 0
+    if kind == "scaled":
+        c = draw(st.one_of(st.integers(-50, 50), st.integers(-(2**200), 2**200)))
+    upper = {(i, j): draw(entry) for i in range(m) for j in range(i, m)}
+    return IntMatrix(
+        m, m, [upper[min(i, j), max(i, j)] + (c if i == j else 0) for i in range(m) for j in range(m)]
+    )
+
+
+@st.composite
+def shifted_laplacians(draw):
+    """L + nI, n in 0..6, for a graph on 1-10 vertices, connected or not."""
+    k = draw(st.integers(min_value=1, max_value=10))
+    p = draw(st.sampled_from((0.1, 0.3, 0.5, 0.8)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        g = random_connected_graph(rng, k, max(p, 0.3))
+    else:
+        g = Graph(k, [(u, v) for u in range(k) for v in range(u + 1, k) if rng.random() < p])
+    return IntMatrix.from_rows(shifted_rows(laplacian(g), -draw(st.integers(0, 6))))
+
+
+class TestRealEigenvalueModulus:
+    """A symmetric matrix has real eigenvalues, and its lane may take the
+    narrower modulus S = (1 + (2|p1| + p2)/m)**(m/2) at the shift r nearest
+    trace / m; a matrix that is not symmetric keeps the Hadamard modulus."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(symmetric_matrices(), shifted_laplacians()), st.data())
+    def test_the_modulus_covers_the_coefficients_the_lane_computes(self, a, data):
+        m = a.rows
+        with recorded_lanes(keep_rows=True) as calls:
+            assert char_poly(a) == oracles.char_poly(a)
+        [(rows, e)] = calls
+        s = a[0, 0] - rows[0][0] if m else 0
+        assert rows == shifted_rows(a, s)
+        assert (e, s) == lane(a)
+        shifted = oracles.char_poly(IntMatrix.from_rows(rows)).coefficients
+        assert 2 ** (e - 1) > max(map(abs, shifted))
+        if m >= 2:  # one off-diagonal entry changed breaks the symmetry
+            i, j = data.draw(st.sampled_from([(i, j) for i in range(m) for j in range(m) if i != j]))
+            changed = a.to_rows()
+            changed[i][j] += data.draw(st.sampled_from((-1, 1, 2**70)))
+            b = IntMatrix.from_rows(changed)
+            with recorded_lanes() as calls:
+                assert char_poly(b) == oracles.char_poly(b)
+            assert calls == [hadamard_lane(b)[0]]
 
 
 @contextlib.contextmanager
@@ -903,17 +1005,17 @@ CROSSOVER = intlinalg._PACKED_MAX_BITS
 
 
 def assert_reductions_agree(a, e):
-    """Both reductions give the same band mod 2**e, and when 2**e covers
-    the Hadamard bound of a, or of the centered rows, the recurrence on
-    those rows gives the exact coefficients."""
+    """Both reductions give the same band mod 2**e, and when e is at least
+    the Hadamard modulus of a, or the modulus char_poly picks for the rows
+    it centers, the recurrence on those rows gives the exact coefficients."""
     rows = a.to_rows()
     band = intlinalg._hessenberg_packed(rows, e)
     assert band == intlinalg._hessenberg_scalar(rows, e)
     assert rows == a.to_rows()  # neither reduction touches its input
     assert [len(column) for column in band] == [min(c + 2, a.rows) for c in range(a.rows)]
     modulus = 1 << e
-    for rows in (a.to_rows(), centered_rows(a)[0]):
-        if e >= hadamard_bits(rows):
+    for rows, bits in ((a.to_rows(), hadamard_bits(a)), (centered_rows(a)[0], modulus_bits(a))):
+        if e >= bits:
             coefficients = intlinalg._char_poly_mod(rows, e)
             signed = [c - modulus if 2 * c >= modulus else c for c in coefficients]
             assert IntPoly(signed) == oracles.char_poly(IntMatrix.from_rows(rows))
@@ -983,8 +1085,11 @@ class TestPackedReduction:
         k40 = laplacian(complete(40))
         assert modulus_bits(k40) <= hadamard_bits(k40) <= CROSSOVER
 
-    def test_a_200_cycle_takes_the_scalar_reduction(self):
-        a = laplacian(cycle(200))
+    def test_a_400_cycle_takes_the_scalar_reduction(self):
+        # the real-eigenvalue modulus of a cycle is about 0.79m bits, so a
+        # 200-cycle (e = 160) stays packed and a 400-cycle does not
+        assert modulus_bits(laplacian(cycle(200))) == 160
+        a = laplacian(cycle(400))
         e = modulus_bits(a)
         with recorded_reductions() as calls:
             char_poly(a)
@@ -994,16 +1099,16 @@ class TestPackedReduction:
     def test_a_path_above_240_bits_takes_the_packed_pair(self):
         # one crossover picks both lanes: a path whose centered modulus
         # first exceeds 240 bits runs the packed reduction and recurrence
-        n = next(n for n in range(2, 200) if modulus_bits(laplacian(path(n))) > 240)
+        n = next(n for n in range(2, 400) if modulus_bits(laplacian(path(n))) > 240)
         a = laplacian(path(n))
         e = modulus_bits(a)
         with recorded_reductions() as calls:
             result = char_poly(a)
         assert calls == [("_hessenberg_packed", e), ("_recurrence_packed", e)]
-        assert 240 < e <= 244 < CROSSOVER
+        assert (n, e) == (301, 241)
         # the scalar recurrence on the same band gives the same coefficients
         rows, s = centered_rows(a)
-        assert s == 1
+        assert s == 2  # the integer nearest the mean degree 600 / 301
         band = intlinalg._hessenberg_packed(rows, e)
         assert intlinalg._recurrence_scalar(band, e) == intlinalg._char_poly_mod(rows, e)
         # minus the trace, and n times the one spanning tree

@@ -123,6 +123,22 @@ def _apply_cone(g: Graph, cone_size: Optional[int]) -> Graph:
     return g if cone_size is None else cone(g, cone_size)
 
 
+def _checked_join(factors: Iterable[Graph], cone_size: Optional[int]) -> list:
+    """The factors as a list, once the cone of each by ``--cone`` and the
+    join of those cones pass the size rules, before anything is coned or
+    joined.  Each factor's cone size is checked as the factor arrives,
+    then the running vertex count of the join."""
+    checked = []
+    for g in factors:
+        if cone_size is not None:
+            _check_cone_size(g.vertex_count, cone_size)
+        checked.append(g)
+    n = 0 if cone_size is None else cone_size
+    for size in accumulate(g.vertex_count + n for g in checked):
+        _check_vertex_count(size)
+    return checked
+
+
 def _count(n: int, noun: str, plural: str) -> str:
     return f"{n} {noun if n == 1 else plural}"
 
@@ -210,11 +226,11 @@ def _sample_graphs(args) -> Iterable[tuple]:
         if args.which == "tree":
             g = random_tree(rng, rng.randint(2, 7))
         elif args.which == "join":
-            factors = [
-                _apply_cone(random_connected_graph(rng, rng.randint(1, 5)), args.cone)
-                for _ in range(rng.randint(2, 3))
-            ]
-            yield factors, f"sample {index} (seed={args.seed})"
+            factors = _checked_join(
+                [random_connected_graph(rng, rng.randint(1, 5)) for _ in range(rng.randint(2, 3))],
+                args.cone,
+            )
+            yield [_apply_cone(g, args.cone) for g in factors], f"sample {index} (seed={args.seed})"
             continue
         else:
             g = random_connected_graph(rng, rng.randint(2, 6))
@@ -234,8 +250,9 @@ def _run_verify(args) -> tuple:
     elif args.which == "join":
         if len(args.files) < 2:
             raise InputError("verify join needs at least two graph files")
-        loaded = [_load(path, None) for path in args.files]
-        instances = [([_apply_cone(g, args.cone) for g, _ in loaded], " + ".join(args.files))]
+        # every file is parsed before any cone size is checked
+        factors = _checked_join([read_edge_list(path) for path in args.files], args.cone)
+        instances = [([_apply_cone(g, args.cone) for g in factors], " + ".join(args.files))]
     else:
         # every file is parsed and coned before any check runs
         instances = [_load(path, args.cone) for path in args.files]
@@ -289,19 +306,12 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             exit_code = EXIT_OK if all_hold else EXIT_VERIFY_FAILED
         else:
             if args.command == "join":
-                factors = []
-                for path in args.files:
-                    factors.append(read_edge_list(path))
-                    if args.cone is not None:
-                        _check_cone_size(factors[-1].vertex_count, args.cone)
-                n = 0 if args.cone is None else args.cone
                 # each cone vertex is adjacent to every other vertex, so the
                 # join of the n-cones is the (l n)-cone over the join of the
                 # l factors; it is refused wherever the join of the cones is
-                for size in accumulate(f.vertex_count + n for f in factors):
-                    _check_vertex_count(size)
+                factors = _checked_join(map(read_edge_list, args.files), args.cone)
                 g, summary = reduce(join, factors), " + ".join(args.files)
-                n *= len(factors)
+                n = 0 if args.cone is None else args.cone * len(factors)
             else:
                 g, summary = _load(args.file, None)
                 # the N-cone over the M-cone over g is the (M + N)-cone over g

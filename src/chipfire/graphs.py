@@ -67,7 +67,8 @@ class Graph:
                 u, v = pair
             except (TypeError, ValueError):
                 raise InputError(f"edge {pair!r} must be a pair of vertices") from None
-            if not isinstance(u, int) or not isinstance(v, int):
+            # exact ints, the usual case, skip the calls
+            if (type(u) is not int or type(v) is not int) and not (_is_int(u) and _is_int(v)):
                 raise InputError(f"edge endpoints must be integers, got {pair!r}")
             if u == v:
                 raise InputError(f"self-loop at vertex {u} is not allowed")
@@ -104,11 +105,17 @@ class Graph:
         return sorted(self.edges)
 
     def _check_vertex(self, v: int):
-        if not isinstance(v, int) or not (0 <= v < self.vertex_count):
+        if not _is_int(v) or not (0 <= v < self.vertex_count):
             raise InputError(f"vertex {v!r} out of range [0, {self.vertex_count})")
 
     def __repr__(self):
         return f"Graph({self.vertex_count}, {self.edge_list()})"
+
+
+def _is_int(x) -> bool:
+    """An int that is not a bool, which would count as 0 or 1 but print as
+    False or True."""
+    return isinstance(x, int) and type(x) is not bool
 
 
 def _check_vertex_count(vertex_count) -> None:
@@ -116,7 +123,7 @@ def _check_vertex_count(vertex_count) -> None:
 
     Constructors that draw or allocate per vertex call it first.
     """
-    if not isinstance(vertex_count, int) or vertex_count < 1:
+    if not _is_int(vertex_count) or vertex_count < 1:
         raise InputError(f"vertex count must be a positive integer, got {vertex_count!r}")
     if vertex_count > MAX_VERTICES:
         raise SizeError(
@@ -134,7 +141,7 @@ def _check_complete_size(m: int) -> None:
 def _check_cone_size(k: int, n: int) -> None:
     """The one cone-size rule, for ``cone(g, n)`` with |g| = k: an int n in
     [1, MAX_COMPLETE_VERTICES] and k + n <= MAX_VERTICES, before K_n exists."""
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise InputError(f"cone size must be an integer, got {n!r}")
     if n < 1:
         raise InputError("cone size must be at least 1")

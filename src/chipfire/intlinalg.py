@@ -4,28 +4,16 @@ Everything in this module runs on plain Python ints, so there is no
 coefficient-size limit and no floating point anywhere.  The two public
 workhorses are the Bareiss fraction-free determinant and an exact
 characteristic polynomial computed by one Hessenberg reduction modulo 2**e,
-where 2**e exceeds twice the bound prod_i (1 + ceil(|row_i|_2)) on every
-coefficient.  That bound holds because
-the coefficient of x^(m-j) is a signed sum of j x j principal minors and
-Hadamard's inequality bounds each of them.  The lane runs on a - sI, with
-s = trace // m, whenever that matrix has the narrower bound (on a Laplacian
-the diagonal dominates every row), and an exact Taylor shift x -> x - s over
-Z takes its polynomial back to det(xI - a).  A symmetric a, such as every
-L + nI the Laplacian routes hand over, has real eigenvalues, and for those
-two traces give a second bound, S = (1 + (2|p1| + p2)/m)^(m/2) on a - rI
-with r the integer nearest trace / m, p1 = trace(a - rI) and p2 the sum of
-the squares of the entries of a - rI: each coefficient is +-e_j(mu), the
-z^j coefficient of prod_i (1 + mu_i z) over the eigenvalues mu of a - rI,
-and on |z| = 1, |1 + mu_i z|^2 = 1 + 2 mu_i cos(t) + mu_i^2, so Cauchy's
-estimate and AM-GM bound it by S.  The lane takes the narrowest modulus,
-with its own shift, and only symmetric input takes S.  Similarity
-transforms and the Hessenberg recurrence are identities over any
-commutative ring, and in Z/2**e the pivot of least 2-adic valuation
-divides every entry of its column, so the reduction mod 2**e is exact for
-every matrix.  Up to a crossover of e, each column is packed into one int
-of wide slots, so a row
-elimination costs one big-int product per column and the interpreter loops
-over columns instead of entries; up to the same crossover, the recurrence
+where 2**(e-1) exceeds every coefficient of det(yI - (a - sI)) by the one
+bound lemma stated in _char_poly_rows, for any integer matrix a and the
+shift s it picks, and an exact Taylor shift x -> x - s over Z takes that
+polynomial back to det(xI - a).  Similarity transforms and the Hessenberg
+recurrence are identities over any commutative ring, and in Z/2**e the
+pivot of least 2-adic valuation divides every entry of its column, so the
+reduction mod 2**e is exact for every matrix.  Up to a crossover of e, each
+column is packed into one int of wide slots, so a row elimination costs
+one big-int product per column and the interpreter loops over columns
+instead of entries; up to the same crossover, the recurrence
 packs each polynomial the same way.  A private kernel presents the cokernel
 of a nonsingular matrix: it splits off exactly every pivot that divides its
 row and column, and on the block R left it runs one Bareiss pass with two
@@ -86,7 +74,7 @@ def _list_repr(xs) -> str:
 
 
 def _check_int(value) -> int:
-    if not isinstance(value, int):
+    if not isinstance(value, int) or type(value) is bool:
         raise InputError(f"expected an integer entry, got {value!r}")
     return value
 
@@ -742,45 +730,13 @@ def char_poly(a: IntMatrix) -> IntPoly:
     divides the others: an entry b has the multiplier (b >> v) times the
     inverse of the pivot's odd part.  The lane is exact for every matrix.
 
-    e is the bit length of 2B with B = prod_i (1 + ceil(|row_i|_2)).  The
-    coefficient of x^(m-j) is +-(sum of the j x j principal minors), each
-    at most the product of its rows' norms by Hadamard's inequality, so
-    every coefficient is at most e_j(row norms) <= B < 2**(e-1), and the
-    symmetric residues modulo 2**e are the exact coefficients.
-
-    The argument holds for any integer matrix, so the lane may run on
-    a - sI instead, with s = trace // m (floor division; s = 0 for m = 0):
-    det(xI - a) = det((x - s)I - (a - sI)), so with Q(y) = det(yI - (a - sI))
-    from the lane, P(x) = Q(x - s) follows from an exact Taylor shift over Z,
-    m(m + 1)/2 updates q_j -= s * q_(j+1).  The bound B' of a - sI differs
-    from B only in the diagonal term of each row's sum of squares, so it
-    costs O(m) more, and the lane takes a - sI only when the bit length of
-    2B' is below e, so no matrix gets a wider modulus.  On a Laplacian the
-    diagonal dominates: row v has norm sqrt(d_v^2 + d_v), and about
-    sqrt(d_v) after subtracting the mean degree, so dense G(40, 0.3) goes
-    from about 150 to 102 bits and a cycle from 2m + 2 to about 1.59m.
-
-    A symmetric a has real eigenvalues, and for those two traces bound the
-    coefficients more tightly.  With r the integer nearest trace / m,
-    p1 = trace - m r and p2 = trace((a - rI)^2), the sum of the squares of
-    the entries of a - rI, every coefficient of det(yI - (a - rI)) is at
-    most S = (1 + (2|p1| + p2)/m)^(m/2):
-    - it is +-e_j(mu) for the real eigenvalues mu of a - rI, the z^j
-      coefficient of prod_i (1 + mu_i z);
-    - on |z| = 1, |1 + mu_i z|^2 = 1 + 2 mu_i cos(t) + mu_i^2, so Cauchy's
-      estimate and AM-GM bound it by S.
-    The coefficients are integers, so each is at most
-    isqrt(ceil(N^m / m^m)) with N = m + 2|p1| + p2, and the lane runs on
-    a - rI when that modulus is narrower than the one above.  Checking
-    that row i equals column i costs O(m^2) comparisons, and a matrix that
-    is not symmetric keeps the Hadamard modulus.  Every L + nI that the
-    Laplacian routes hand over is symmetric: dense G(40, 0.3) goes from
-    about 102 to 89 bits, the sparse 40-vertex trees plus 4 chords from 69
-    to 49, and a cycle or a path from about 1.59m to 0.79m.  A star keeps
-    the Hadamard modulus, since its hub's eigenvalue m sits far from the
-    mean degree.  Below, e is always the modulus the lanes receive, the
-    narrowest one; the e in the two tables are the moduli the centered
-    Hadamard bound gave those inputs before S was added.
+    e and a shift s come from the bound lemma stated in _char_poly_rows,
+    which holds for every matrix.  The lane runs on a - sI, and with
+    Q(y) = det(yI - (a - sI)) from the lane, det(xI - a) = Q(x - s) follows
+    from an exact Taylor shift over Z, m(m + 1)/2 updates
+    q_j -= s * q_(j+1).  The e in the two tables below are the moduli that
+    the Hadamard bound of the centered matrix gave those inputs when they
+    were measured.
 
     The reduction runs in one of two forms with the same pivots and the
     same entries.  For e <= _PACKED_MAX_BITS, column c is one int C_c of m
@@ -861,63 +817,48 @@ def char_poly(a: IntMatrix) -> IntPoly:
     return _char_poly_rows(a.to_rows())
 
 
-def _ceil_norm(squares: int) -> int:
-    """ceil(sqrt(squares)) for a sum of squares >= 0."""
-    return math.isqrt(squares - 1) + 1 if squares else 0
-
-
 def _char_poly_rows(rows: list) -> IntPoly:
     """char_poly of the square matrix given as its rows, which are consumed.
 
-    Up to three moduli, the narrowest taken, ties to the earlier: the
-    Hadamard bound B of a; with s = trace // m, the bound B' of a - sI,
-    which differs from B only in the diagonal term of each row's sum of
-    squares; and for a symmetric a, whose eigenvalues are real, the bound
-    S of a - rI, r the integer nearest trace / m.  The lane runs on a
-    minus the chosen shift, and P(x) = Q(x - shift) follows from a Taylor
-    shift over Z.
-
-    S is (1 + (2|p1| + p2)/m)^(m/2) with p1 = trace(a - rI) and
-    p2 = trace((a - rI)^2), for a symmetric a the sum of the squares of
-    the entries of a - rI.  Each coefficient of det(yI - (a - rI)) is
-    +-e_j(mu), the z^j coefficient of prod_i (1 + mu_i z) over the real
-    eigenvalues mu of a - rI, and on |z| = 1,
-    |1 + mu_i z|^2 = 1 + 2 mu_i cos(t) + mu_i^2, so Cauchy's estimate and
-    AM-GM bound it by S.  The coefficients are integers, so each is at most
-    isqrt(ceil(N^m / m^m)) with N = m + 2|p1| + p2.  A matrix that is not
-    symmetric never takes S.
+    The modulus rests on one lemma.  Take any real m x m matrix b and any
+    z with |z| = 1:
+    - the z^j coefficient of det(I + zb) and the coefficient of y^(m-j) in
+      det(yI - b) are, up to sign, the sum of the j x j principal minors
+      of b;
+    - row i of I + zb has squared norm c_i + 2 b_ii Re(z) <= c_i + 2|b_ii|,
+      with c_i = 1 + |b_i|^2;
+    - so by Hadamard's inequality and Cauchy's estimate every coefficient
+      squared is at most R = prod_i (c_i + 2|b_ii|), and by AM-GM, taken
+      before Re(z) is bounded by 1, at most
+      T = ceil(((m + |b|_F^2 + 2|trace b|) / m)^m).
+    No symmetry is needed.  The lane runs on b = a - sI for the shift s
+    among 0, trace // m and the integer nearest trace / m with the least
+    bound P = min(R, T), ties going to the earlier one, modulo 2**e with
+    e = (2 isqrt(P)).bit_length(): the coefficients are integers, so each
+    is at most isqrt(P) < 2**(e-1).  Since c_i + 2|b_ii| <=
+    (1 + ceil(|b_i|))^2, P is never above the square of the Hadamard bound
+    prod_i (1 + ceil(|b_i|)) at the same shift.
     """
     m = len(rows)
-    trace = sum(row[i] for i, row in enumerate(rows))
-    s = trace // m if m else 0
-    symmetric = m and all(tuple(row) == column for row, column in zip(rows, zip(*rows)))
-    bound = centered = 1
-    total = 0  # the sum of the squares of all entries
-    for i, row in enumerate(rows):
-        squares = sum(x * x for x in row)
-        total += squares
-        d = row[i]
-        bound *= 1 + _ceil_norm(squares)
-        centered *= 1 + _ceil_norm(squares - d * d + (d - s) * (d - s))
-    e, narrower = (2 * bound).bit_length(), (2 * centered).bit_length()
-    if narrower < e:
-        e = narrower
-    else:
-        s = 0
-    if symmetric:
-        r = (2 * trace + m) // (2 * m)
-        p1 = trace - m * r
-        p2 = total - 2 * r * trace + m * r * r  # (d - r)^2 in place of each d^2
-        n = m + 2 * abs(p1) + p2
-        real = (2 * math.isqrt(-(-(n**m) // m**m))).bit_length()
-        if real < e:
-            e, s = real, r
+    diagonal = [row[i] for i, row in enumerate(rows)]
+    off = [sum(x * x for x in row) - d * d for row, d in zip(rows, diagonal)]
+    trace, off_total, power = sum(diagonal), sum(off), m**m
+    bound = None
+    for t in dict.fromkeys((0, trace // m, (2 * trace + m) // (2 * m)) if m else (0,)):
+        d = [x - t for x in diagonal]  # the diagonal of b = a - tI
+        # c_i + 2|b_ii| is the off-diagonal part of |b_i|^2 plus (1 + |b_ii|)^2
+        r = math.prod(o + (1 + abs(x)) ** 2 for o, x in zip(off, d))
+        n = m + off_total + sum(x * x for x in d) + 2 * abs(trace - m * t)
+        p = min(r, -(-(n**m) // power))  # min(R, T)
+        if bound is None or p < bound:
+            bound, s = p, t
+    e = (2 * math.isqrt(bound)).bit_length()
     if s:
         for i, row in enumerate(rows):
             row[i] -= s
     modulus = 1 << e
     q = [c - modulus if 2 * c >= modulus else c for c in _char_poly_mod(rows, e)]
-    if s:  # q(y) = det(yI - (a - sI)); P(x) = q(x - s)
+    if s:  # q(y) = det(yI - (a - sI)); det(xI - a) = q(x - s)
         for i in range(m):
             c = q[m]
             for j in range(m - 1, i - 1, -1):

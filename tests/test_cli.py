@@ -482,6 +482,25 @@ class TestRegressions:
                 tracemalloc.stop()
             assert peak < limit
 
+    def test_verify_join_checks_the_join_before_coning_a_factor(self, graph_file, capsys):
+        # two 2048-cones of P5 have 4106 vertices: the join command and
+        # verify join, on files and on samples, refuse that before any
+        # K_2048 exists, with the size line the join command prints
+        p5 = graph_file("p5.txt", path(5))
+        line = "error: graph on 4106 vertices exceeds the limit of 4096\n"
+        tracemalloc.start()
+        try:
+            for argv in (["join", p5, p5], ["verify", "join", p5, p5]):
+                assert run(argv + ["--cone", "2048"]) == (3, "")
+                assert capsys.readouterr().err == line
+            # the first sample of seed 0 has a join too large as well
+            assert run(["verify", "join", "--sample", "3", "--cone", "2048"]) == (3, "")
+            assert "exceeds the limit of 4096" in capsys.readouterr().err
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+
     def test_cone_size_below_one_rejected(self, graph_file):
         p3 = graph_file("p3.txt", path(3))
         for which in ("cone", "tree", "eigen"):

@@ -75,6 +75,18 @@ class TestConstruction:
         with pytest.raises(InputError):
             Graph(0)
 
+    def test_bools_are_not_integers(self):
+        # True counts as 1 but prints as True, which parse_edge_list rejects
+        for build in (
+            lambda: Graph(True),
+            lambda: Graph(2, [(False, True)]),
+            lambda: Graph(2, [(0, True)]),
+            lambda: path(2).neighbors(True),
+            lambda: cone(path(3), True),
+        ):
+            with pytest.raises(InputError):
+                build()
+
     def test_complete(self):
         assert complete(1).edge_count == 0
         assert complete(3).edge_count == 3

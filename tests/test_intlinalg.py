@@ -114,6 +114,13 @@ class TestIntPoly:
         with pytest.raises(InputError):
             IntPoly([0.5])
 
+    def test_rejects_bools(self):
+        for build in (lambda: IntPoly([True, 1]), lambda: IntMatrix(1, 1, [False])):
+            with pytest.raises(InputError):
+                build()
+        with pytest.raises(InputError):
+            poly_eval(IntPoly([0, 1]), True)
+
 
 def decimal_by_chunks(x):
     """str(x), built from 1000-digit chunks split off its low end."""
@@ -772,18 +779,40 @@ def real_eigenvalue_bits(a, r):
     return (2 * math.isqrt(math.ceil(Fraction(n, m) ** m))).bit_length()
 
 
-def lane(a):
-    """(e, s), the modulus and the shift char_poly gives its lane: the
-    Hadamard lane, unless a is symmetric and the real-eigenvalue modulus
-    at r, the integer nearest trace(a) / m, is narrower; then (that, r)."""
-    e, s = hadamard_lane(a)
+def hadamard_or_real_eigenvalue_bits(a):
+    """A modulus char_poly must never be wider than: the Hadamard lane's,
+    or, when a is symmetric, the real-eigenvalue modulus at the integer
+    nearest trace(a) / m if that is narrower."""
+    e = hadamard_lane(a)[0]
     m = a.rows
     if m and all(a[i, j] == a[j, i] for i in range(m) for j in range(i)):
         r = math.floor(Fraction(sum(a[i, i] for i in range(m)), m) + Fraction(1, 2))
-        real = real_eigenvalue_bits(a, r)
-        if real < e:
-            return real, r
-    return e, s
+        e = min(e, real_eigenvalue_bits(a, r))
+    return e
+
+
+def lemma_bound(a, t):
+    """min(R, T), the lemma's bound on every coefficient squared of
+    det(yI - b), b = a - tI: R = prod_i (1 + |b_i|^2 + 2|b_ii|) and
+    T = ceil(((m + |b|_F^2 + 2|trace b|) / m)^m), with T = 1 for m = 0."""
+    m = a.rows
+    b = shifted_rows(a, t)
+    row_bound = math.prod(1 + sum(x * x for x in row) + 2 * abs(row[i]) for i, row in enumerate(b))
+    frobenius = sum(x * x for row in b for x in row)
+    trace = sum(b[i][i] for i in range(m))
+    trace_bound = math.ceil(Fraction(m + frobenius + 2 * abs(trace), m) ** m) if m else 1
+    return min(row_bound, trace_bound)
+
+
+def lane(a):
+    """(e, s), the modulus and the shift char_poly gives its lane: of the
+    shifts 0, floor(trace / m) and the integer nearest trace / m, the first
+    with the least lemma_bound, and e = (2 isqrt(that bound)).bit_length()."""
+    m = a.rows
+    mean = Fraction(sum(a[i, i] for i in range(m)), m) if m else 0
+    bounds = {t: lemma_bound(a, t) for t in (0, math.floor(mean), math.floor(mean + Fraction(1, 2)))}
+    s = min(bounds, key=bounds.get)  # dicts keep their first key, min its first least
+    return (2 * math.isqrt(bounds[s])).bit_length(), s
 
 
 def centered_rows(a):
@@ -875,10 +904,9 @@ def scaled_identities_plus_noise(draw):
 
 
 class TestCenteredModulus:
-    """char_poly runs its lane on a - sI, s = trace(a) // m, when that
-    narrows the Hadamard modulus, or s the integer nearest trace(a) / m
-    when a is symmetric and the real-eigenvalue modulus is narrower still,
-    and shifts the result back by x -> x - s."""
+    """char_poly runs its lane on a - sI, with s one of 0, trace(a) // m
+    and the integer nearest trace(a) / m, whichever has the narrowest
+    modulus, and shifts the result back by x -> x - s."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -915,8 +943,8 @@ class TestCenteredModulus:
 
     def test_a_graph_laplacian_centers_on_its_mean_degree(self):
         # K_40 - 39 I has zero diagonal: 40 rows of norm sqrt(39), against
-        # sqrt(39**2 + 39) uncentered; its eigenvalues are real, with
-        # p1 = 0 and p2 = 40 * 39, so S = (1 + 39)**20 is narrower still
+        # sqrt(39**2 + 39) uncentered, so R = 40**40; with trace 0 and
+        # |b|_F**2 = 40 * 39, T = (1 + 39)**40 as well
         a = laplacian(complete(40))
         rows, s = centered_rows(a)
         assert s == 39 and all(row[i] == 0 for i, row in enumerate(rows))
@@ -956,14 +984,35 @@ def shifted_laplacians(draw):
     return IntMatrix.from_rows(shifted_rows(laplacian(g), -draw(st.integers(0, 6))))
 
 
-class TestRealEigenvalueModulus:
-    """A symmetric matrix has real eigenvalues, and its lane may take the
-    narrower modulus S = (1 + (2|p1| + p2)/m)**(m/2) at the shift r nearest
-    trace / m; a matrix that is not symmetric keeps the Hadamard modulus."""
+@st.composite
+def skew_symmetric_matrices(draw):
+    """Skew-symmetric 0-8 matrices, entries in -9..9 or mixed with +-2**t
+    and +-3 * 2**t: the eigenvalues are imaginary and the trace is 0."""
+    m = draw(st.integers(min_value=0, max_value=8))
+    entry = draw(st.sampled_from((small_entries, entries_rich_in_powers_of_two)))
+    upper = {(i, j): draw(entry) for i in range(m) for j in range(i + 1, m)}
+    return IntMatrix(
+        m, m, [0 if i == j else upper[i, j] if i < j else -upper[j, i] for i in range(m) for j in range(m)]
+    )
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.one_of(symmetric_matrices(), shifted_laplacians()), st.data())
-    def test_the_modulus_covers_the_coefficients_the_lane_computes(self, a, data):
+
+class TestRealEigenvalueModulus:
+    """The lemma of _char_poly_rows holds for every real matrix, symmetric
+    or not: at the chosen shift s, 2**(e-1) exceeds every coefficient of
+    det(yI - (a - sI)), and e is never wider than the rule it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            symmetric_matrices(),
+            shifted_laplacians(),
+            square_matrices(),
+            skew_symmetric_matrices(),
+            matrices_rich_in_powers_of_two(),
+            scaled_identities_plus_noise(),
+        )
+    )
+    def test_the_modulus_covers_the_coefficients_the_lane_computes(self, a):
         m = a.rows
         with recorded_lanes(keep_rows=True) as calls:
             assert char_poly(a) == oracles.char_poly(a)
@@ -973,14 +1022,31 @@ class TestRealEigenvalueModulus:
         assert (e, s) == lane(a)
         shifted = oracles.char_poly(IntMatrix.from_rows(rows)).coefficients
         assert 2 ** (e - 1) > max(map(abs, shifted))
-        if m >= 2:  # one off-diagonal entry changed breaks the symmetry
-            i, j = data.draw(st.sampled_from([(i, j) for i in range(m) for j in range(m) if i != j]))
-            changed = a.to_rows()
-            changed[i][j] += data.draw(st.sampled_from((-1, 1, 2**70)))
-            b = IntMatrix.from_rows(changed)
-            with recorded_lanes() as calls:
-                assert char_poly(b) == oracles.char_poly(b)
-            assert calls == [hadamard_lane(b)[0]]
+        assert e <= hadamard_or_real_eigenvalue_bits(a)
+
+    def test_the_bound_is_tight_on_a_rotation(self):
+        # P = x**2 + 10000, and both R and T are 10001**2, so e = 15 with
+        # 10000 < 2**14 <= 10001
+        a = IntMatrix.from_rows([[0, 100], [-100, 0]])
+        assert lemma_bound(a, 0) == 10001**2
+        with recorded_lanes() as calls:
+            assert char_poly(a) == IntPoly([10000, 0, 1])
+        assert calls == [15] == [modulus_bits(a)]
+
+    def test_a_star_takes_the_row_bound(self):
+        # a leaf row of L - I is one -1 off a zero diagonal, so it puts the
+        # factor 1 + 1 = 2 into R, where the square of the Hadamard bound
+        # put (1 + 1)**2: about half the bits
+        m = 240
+        a = laplacian(Graph(m, [(0, v) for v in range(1, m)]))
+        assert hadamard_or_real_eigenvalue_bits(a) == 248
+        with recorded_lanes() as calls:
+            result = char_poly(a)
+        assert calls == [129] == [modulus_bits(a)]
+        assert lane(a) == (129, 1)
+        # eigenvalues 0, m and 1 with multiplicity m - 2
+        ones = IntPoly([math.comb(m - 2, k) * (-1) ** (m - k) for k in range(m - 1)])
+        assert result == IntPoly((0,) + poly_mul(ones, IntPoly([-m, 1])).coefficients)
 
 
 @contextlib.contextmanager

@@ -223,6 +223,14 @@ class TestVerifyConeTheorem:
         with pytest.raises(InputError):
             verify_cone_theorem(path(3), 0)
 
+    def test_bool_cone_size_rejected(self):
+        # True would run as n = 1 and be reported as cone_size=True
+        for check in (verify_cone_theorem, verify_tree_bound, verify_eigenvectors):
+            with pytest.raises(InputError):
+                check(path(3), True)
+        with pytest.raises(InputError):
+            cone_difference_divisors(True, 2)
+
 
 class TestConeTheoremSharesOneSnf:
     """verify_cone_theorem presents the cone once, by the (k+1)-square
